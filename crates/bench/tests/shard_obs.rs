@@ -95,11 +95,6 @@ fn labeled_shard_series_sum_to_flat_totals() {
 #[test]
 fn deterministic_metrics_with_labels_are_byte_identical() {
     let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
-    // Force the process-global one-shot SIMD dispatch (and its obs
-    // record) before the measured windows, where it also lands for real
-    // single-run processes — otherwise only the first of the two runs
-    // would capture it.
-    let _ = surfos::em::simd::backend();
     let mut runs = Vec::new();
     for _ in 0..2 {
         obs::set_enabled(true);

@@ -316,7 +316,7 @@ fn run_serve(args: &Args, serve: &ServeArgs) {
 /// Dumps the metrics snapshot and/or trace timeline, as requested.
 fn write_outputs(args: &Args) {
     if let Some(path) = args.metrics_json.as_deref() {
-        let snap = surfos::obs::snapshot();
+        let snap = surfos::telemetry::metrics_snapshot();
         let json = if args.deterministic {
             snap.deterministic_json()
         } else {

@@ -3,12 +3,14 @@
 //! This module turns an in-process [`SurfOS`] kernel into a long-running
 //! network service. Clients connect over TCP or a unix socket, speak the
 //! framed protocol in [`rpc`](crate::rpc), and their requests are routed
-//! through broker tenant registration
-//! ([`TenantRegistry`]) and the
-//! kernel's [`resource_model`](SurfOS::resource_model) admission precheck.
-//! Over-demand — quota exhausted, registry at capacity, empty resource
-//! grid — always answers with a structured `Rejected{reason}` response;
-//! the daemon never parks a request.
+//! through the orchestrator's admission rule
+//! ([`Orchestrator::admission_error`](surfos_orchestrator::Orchestrator::admission_error))
+//! and broker tenant registration ([`TenantRegistry`]). Each verb is the
+//! orchestrator's own (`ServiceRequest::from_kind`, `retire`,
+//! `endpoint_pair`), the same calls the operator [`Shell`](crate::shell::Shell)
+//! makes. Over-demand — quota exhausted, registry at capacity, a kernel
+//! with no surface or no access point — always answers with a structured
+//! `Rejected{reason}` response; the daemon never parks a request.
 //!
 //! # Threading model
 //!
@@ -45,7 +47,6 @@ use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 use surfos_broker::registry::TenantRegistry;
 use surfos_obs as obs;
-use surfos_orchestrator::task::{TaskId, TaskState};
 use surfos_orchestrator::ServiceRequest;
 
 /// How the daemon listens and admits.
@@ -131,7 +132,7 @@ impl Dispatcher {
             } => self.register(tenant, kind, subject, *value),
             Request::ReleaseService { service } => match self.registry.release(tenant, *service) {
                 Ok(lease) => {
-                    self.retire(lease.task);
+                    self.kernel.orchestrator_mut().retire(lease.task);
                     Response::Released { service: *service }
                 }
                 Err(e) => Response::Error {
@@ -141,7 +142,7 @@ impl Dispatcher {
             Request::SubmitIntent { utterance } => self.intent(tenant, utterance),
             Request::QueryChannel { tx, rx } => self.query(tx, rx),
             Request::Metrics { deterministic } => {
-                let snap = obs::snapshot();
+                let snap = crate::telemetry::metrics_snapshot();
                 Response::Metrics {
                     json: if *deterministic {
                         snap.deterministic_json()
@@ -153,39 +154,25 @@ impl Dispatcher {
         }
     }
 
-    /// The resource-grid precheck shared by register and intent: a grid
-    /// with no surfaces or no slots can never run a task, so reject now
-    /// rather than queue forever (mirrors `ShardedKernel::submit_service`).
-    fn grid_reject(&self) -> Option<Response> {
-        let model = self.kernel.resource_model();
-        if model.surfaces == 0 {
-            return Some(Response::Rejected {
-                reason: "no surfaces deployed: the resource grid is empty".into(),
-            });
-        }
-        if model.slots_per_frame == 0 {
-            return Some(Response::Rejected {
-                reason: "scheduler frame has zero slots".into(),
-            });
-        }
-        None
+    /// The admission gate shared by register and intent: a kernel that
+    /// cannot run any task rejects now rather than queue forever
+    /// ([`Orchestrator::admission_error`](surfos_orchestrator::Orchestrator::admission_error)),
+    /// then the tenant ledger checks capacity and quota.
+    fn admission_reject(&self, tenant: &str) -> Option<Response> {
+        let reason = match self.kernel.orchestrator().admission_error() {
+            Some(reason) => reason.to_owned(),
+            None => self.registry.admit(tenant).err()?.to_string(),
+        };
+        Some(Response::Rejected { reason })
     }
 
     fn register(&mut self, tenant: &str, kind: &str, subject: &str, value: f64) -> Response {
-        if let Some(reject) = self.grid_reject() {
+        if let Some(reject) = self.admission_reject(tenant) {
             return reject;
         }
-        if let Err(e) = self.registry.admit(tenant) {
-            return Response::Rejected {
-                reason: e.to_string(),
-            };
-        }
-        let Some(request) = service_request(kind, subject, value) else {
-            return Response::Error {
-                message: format!(
-                    "unknown service kind {kind:?} (coverage|link|sensing|powering|protect)"
-                ),
-            };
+        let request = match ServiceRequest::from_kind(kind, subject, value) {
+            Ok(request) => request,
+            Err(message) => return Response::Error { message },
         };
         let task = self.kernel.submit(request);
         match self.registry.register(tenant, kind, task) {
@@ -193,7 +180,7 @@ impl Dispatcher {
             // admit() passed above; a race is impossible under the state
             // mutex, but fail closed: retire the freshly admitted task.
             Err(e) => {
-                self.retire(task);
+                self.kernel.orchestrator_mut().retire(task);
                 Response::Rejected {
                     reason: e.to_string(),
                 }
@@ -202,13 +189,8 @@ impl Dispatcher {
     }
 
     fn intent(&mut self, tenant: &str, utterance: &str) -> Response {
-        if let Some(reject) = self.grid_reject() {
+        if let Some(reject) = self.admission_reject(tenant) {
             return reject;
-        }
-        if let Err(e) = self.registry.admit(tenant) {
-            return Response::Rejected {
-                reason: e.to_string(),
-            };
         }
         let mut admitted = Vec::new();
         for task in self.kernel.handle_utterance(utterance) {
@@ -216,42 +198,23 @@ impl Dispatcher {
                 Ok(_) => admitted.push(task),
                 // Quota ran out mid-intent: the overflow tasks are
                 // retired, the admitted prefix stands.
-                Err(_) => self.retire(task),
+                Err(_) => self.kernel.orchestrator_mut().retire(task),
             }
         }
         Response::IntentTasks { tasks: admitted }
     }
 
     fn query(&mut self, tx: &str, rx: &str) -> Response {
-        let orch = self.kernel.orchestrator();
-        let (Some(tx_ep), Some(rx_ep)) = (orch.endpoint(tx), orch.endpoint(rx)) else {
-            let missing = if orch.endpoint(tx).is_none() { tx } else { rx };
-            return Response::Error {
-                message: format!("unknown endpoint {missing:?}"),
-            };
-        };
-        let budget = self.kernel.sim().link_budget(tx_ep, rx_ep);
-        Response::Channel {
-            rss_dbm: budget.rss_dbm,
-            snr_db: budget.snr_db,
-            capacity_bps: budget.capacity_bps,
-        }
-    }
-
-    /// Retires the kernel task behind a released lease, following the
-    /// release discipline of the sharded kernel: running tasks go idle
-    /// first (freeing their slices), pending tasks fail.
-    fn retire(&mut self, task: TaskId) {
-        let orch = self.kernel.orchestrator_mut();
-        match orch.tasks.get(task).map(|t| t.state) {
-            Some(TaskState::Running) => {
-                orch.set_idle(task);
-                orch.tasks.set_state(task, TaskState::Completed);
+        match self.kernel.orchestrator().endpoint_pair(tx, rx) {
+            Ok((tx, rx)) => {
+                let budget = self.kernel.sim().link_budget(tx, rx);
+                Response::Channel {
+                    rss_dbm: budget.rss_dbm,
+                    snr_db: budget.snr_db,
+                    capacity_bps: budget.capacity_bps,
+                }
             }
-            Some(TaskState::Idle) => orch.tasks.set_state(task, TaskState::Completed),
-            Some(TaskState::Pending) => orch.tasks.set_state(task, TaskState::Failed),
-            // Completed/Failed (reaped by expiry) or unknown: nothing to do.
-            _ => {}
+            Err(message) => Response::Error { message },
         }
     }
 
@@ -259,7 +222,7 @@ impl Dispatcher {
     /// holds is released and its backing task retired.
     fn teardown(&mut self, tenant: &str) {
         for lease in self.registry.release_tenant(tenant) {
-            self.retire(lease.task);
+            self.kernel.orchestrator_mut().retire(lease.task);
         }
     }
 }
@@ -292,19 +255,6 @@ pub fn demo_kernel() -> SurfOS {
     ));
     os.set_user_room(scen.target_room.clone());
     os
-}
-
-/// Maps the wire `kind` vocabulary onto [`ServiceRequest`] constructors —
-/// the same five classes as the shell's `request` command.
-fn service_request(kind: &str, subject: &str, value: f64) -> Option<ServiceRequest> {
-    Some(match kind {
-        "coverage" => ServiceRequest::optimize_coverage(subject, value),
-        "link" => ServiceRequest::enhance_link(subject, value, 50.0),
-        "sensing" => ServiceRequest::enable_sensing(subject, value),
-        "powering" => ServiceRequest::init_powering(subject, value),
-        "protect" => ServiceRequest::protect_link(subject, value),
-        _ => return None,
-    })
 }
 
 /// One live connection, TCP or unix.
@@ -755,6 +705,7 @@ mod tests {
     use surfos_channel::ChannelSim;
     use surfos_em::band::NamedBand;
     use surfos_geometry::scenario::two_room_apartment;
+    use surfos_orchestrator::task::TaskState;
 
     fn kernel() -> SurfOS {
         demo_kernel()
@@ -838,6 +789,41 @@ mod tests {
             panic!("no surfaces deployed: must reject");
         };
         assert!(reason.contains("no surfaces"), "{reason}");
+
+        // A surface but no access point: admitting would queue a task
+        // the next heartbeat cannot schedule.
+        let mut os = SurfOS::new(ChannelSim::new(
+            scen.plan.clone(),
+            NamedBand::MmWave28GHz.band(),
+        ));
+        os.deploy_surface(
+            "wall0",
+            Box::new(surfos_hw::ProgrammableDriver::new(
+                surfos_hw::designs::nr_surface(),
+            )),
+            *scen.anchor("bedroom-north").unwrap(),
+        );
+        let mut d = Dispatcher::new(os, &ServeOptions::default());
+        for request in [
+            Request::RegisterService {
+                kind: "coverage".into(),
+                subject: "bedroom".into(),
+                value: 25.0,
+            },
+            Request::SubmitIntent {
+                utterance: "I want to watch a movie on my laptop".into(),
+            },
+        ] {
+            let resp = d.dispatch("t", &request);
+            assert_eq!(
+                resp,
+                Response::Rejected {
+                    reason: "no access point registered".into()
+                }
+            );
+        }
+        assert!(d.kernel().orchestrator().tasks.all().is_empty());
+        d.kernel_mut().step(10);
     }
 
     #[test]
@@ -863,6 +849,71 @@ mod tests {
             panic!("unknown endpoint must be an error");
         };
         assert!(message.contains("ghost"), "{message}");
+    }
+
+    /// One table of bad inputs through both front ends: the daemon's
+    /// dispatcher and the operator shell must refuse each with the same
+    /// reason text, because both take it from the same orchestrator verb.
+    #[test]
+    fn daemon_and_shell_give_the_same_reason_text() {
+        use crate::shell::Shell;
+        const FULL: &str = "scenario apartment\ndeploy wall0 scattermimo bedroom-north\nap ap0\nclient laptop 6.5 1.5 1.2";
+        const NO_SURFACE: &str = "scenario apartment\nap ap0\nclient laptop 6.5 1.5 1.2";
+        const NO_AP: &str =
+            "scenario apartment\ndeploy wall0 scattermimo bedroom-north\nclient laptop 6.5 1.5 1.2";
+        let register = |kind: &str| Request::RegisterService {
+            kind: kind.into(),
+            subject: "bedroom".into(),
+            value: 25.0,
+        };
+        let intent = Request::SubmitIntent {
+            utterance: "I want to watch a movie on my laptop".into(),
+        };
+        let query = Request::QueryChannel {
+            tx: "ap0".into(),
+            rx: "ghost".into(),
+        };
+        let cases = [
+            (
+                NO_SURFACE,
+                "request coverage bedroom 25",
+                register("coverage"),
+            ),
+            (
+                NO_SURFACE,
+                "say I want to watch a movie on my laptop",
+                intent.clone(),
+            ),
+            (NO_AP, "request coverage bedroom 25", register("coverage")),
+            (NO_AP, "say I want to watch a movie on my laptop", intent),
+            (FULL, "request teleport bedroom 25", register("teleport")),
+            (FULL, "budget ap0 ghost", query.clone()),
+            (FULL, "diagnose ap0 ghost", query.clone()),
+            (FULL, "crossband 5ghz ap0 ghost", query),
+        ];
+        for (script, command, request) in cases {
+            let boot = || {
+                let mut shell = Shell::new();
+                shell.run_script(script).expect("setup script runs");
+                shell
+            };
+            let mut shell = boot();
+            let shell_text = shell.execute(command).expect_err(command).what;
+            let mut d = Dispatcher::new(
+                boot().into_kernel().expect("kernel"),
+                &ServeOptions::default(),
+            );
+            let (Response::Rejected {
+                reason: daemon_text,
+            }
+            | Response::Error {
+                message: daemon_text,
+            }) = d.dispatch("t", &request)
+            else {
+                panic!("{command}: the daemon accepted what the shell refused");
+            };
+            assert_eq!(shell_text, daemon_text, "{command}");
+        }
     }
 
     #[test]

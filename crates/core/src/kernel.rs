@@ -433,21 +433,6 @@ impl SurfOS {
         &mut self.orch
     }
 
-    /// The schedulable resource grid this kernel exposes — the same model
-    /// [`Orchestrator::schedule_frame`] builds each frame. The service
-    /// plane uses it as the admission precheck (mirroring
-    /// [`ShardedKernel::resource_model`](crate::shard::ShardedKernel::resource_model)
-    /// at campus scale): a daemon rejects new work outright when the grid
-    /// has no surfaces or no slots instead of queueing tasks that can
-    /// never run.
-    pub fn resource_model(&self) -> surfos_orchestrator::scheduler::ResourceModel {
-        surfos_orchestrator::scheduler::ResourceModel {
-            slots_per_frame: self.orch.slots_per_frame,
-            bands: 1,
-            surfaces: self.orch.sim.surfaces().len(),
-        }
-    }
-
     /// The channel simulator (environment + surfaces).
     pub fn sim(&self) -> &ChannelSim {
         &self.orch.sim

@@ -13,7 +13,7 @@
 //!
 //! [`ShardedKernel`] owns one [`KernelShard`] per [`Zone`]. Each shard has
 //! its own scene index, linearization cache, scheduler state and
-//! orchestrator; shards never share a lock on the hot path. The three
+//! orchestrator; shards never share a lock on the hot path. The two
 //! cross-shard concerns travel as messages with deterministic delivery
 //! order:
 //!
@@ -26,9 +26,11 @@
 //!   [`ControlMessage::Release`]): a campus service spanning several zones
 //!   registers one task per zone; after each step the coordinator
 //!   reconciles grants all-or-nothing, releasing partial grants.
-//! - **Admission aggregation**: [`ShardedKernel::resource_model`] folds
-//!   the per-shard scheduler models into one campus view used as the
-//!   admission precheck for multi-zone services.
+//!
+//! Admission is not a cross-shard concern: each part of a campus service
+//! is checked by its own shard's orchestrator
+//! ([`Orchestrator::admission_error`](surfos_orchestrator::Orchestrator::admission_error)),
+//! the same rule the daemon and the shell apply to a flat kernel.
 //!
 //! Determinism: phase A (walker routing) and phase B (shard heartbeats)
 //! run on a scoped worker pool ([`surfos_channel::par`]), but every
@@ -48,7 +50,6 @@ use surfos_channel::{par, CacheStats, ChannelSim, Endpoint, Linearization, Surfa
 use surfos_em::band::Band;
 use surfos_geometry::{FloorPlan, Pose, Room, Vec3, Wall};
 use surfos_hw::SurfaceDriver;
-use surfos_orchestrator::scheduler::ResourceModel;
 use surfos_orchestrator::task::{TaskId, TaskState};
 use surfos_orchestrator::ServiceRequest;
 
@@ -258,18 +259,8 @@ impl KernelShard {
                     self.tasks.insert(service, tid);
                 }
                 ControlMessage::Release { service } => {
-                    let Some(tid) = self.tasks.remove(&service) else {
-                        continue;
-                    };
-                    let orch = self.kernel.orchestrator_mut();
-                    match orch.tasks.get(tid).map(|t| t.state) {
-                        Some(TaskState::Running) => {
-                            orch.set_idle(tid); // releases slices
-                            orch.tasks.set_state(tid, TaskState::Completed);
-                        }
-                        Some(TaskState::Idle) => orch.tasks.set_state(tid, TaskState::Completed),
-                        Some(TaskState::Pending) => orch.tasks.set_state(tid, TaskState::Failed),
-                        _ => {}
+                    if let Some(tid) = self.tasks.remove(&service) {
+                        self.kernel.orchestrator_mut().retire(tid);
                     }
                 }
             }
@@ -474,8 +465,8 @@ impl ShardedKernel {
     }
 
     /// Adds a bare surface instance to the zone containing its pose and
-    /// returns its campus-wide index. Mirrors the flat kernel's
-    /// orchestrator wiring (one tying group slot per surface).
+    /// returns its campus-wide index, with the same orchestrator wiring
+    /// as the flat kernel (one tying group slot per surface).
     pub fn add_surface(&mut self, surface: SurfaceInstance) -> usize {
         let shard = route(&self.zones, surface.pose.position);
         let orch = self.shards[shard].kernel.orchestrator_mut();
@@ -556,39 +547,23 @@ impl ShardedKernel {
         id
     }
 
-    /// The aggregated campus resource model: surfaces sum across shards;
-    /// slots are the per-frame minimum (a multi-zone service must fit in
-    /// every zone it spans).
-    pub fn resource_model(&self) -> ResourceModel {
-        ResourceModel {
-            slots_per_frame: self
-                .shards
-                .iter()
-                .map(|s| s.kernel.orchestrator().slots_per_frame)
-                .min()
-                .unwrap_or(0),
-            bands: 1,
-            surfaces: self
-                .shards
-                .iter()
-                .map(|s| s.kernel.sim().surfaces().len())
-                .sum(),
-        }
-    }
-
-    /// Submits a campus service: one request per zone it spans. The
-    /// aggregated resource model prechecks admission (a named zone with no
-    /// deployed surface rejects immediately); parts that pass are
-    /// registered via control messages and reconciled all-or-nothing after
-    /// the next step. Returns the campus-wide service id.
+    /// Submits a campus service: one request per zone it spans. Each
+    /// part's shard runs the orchestrator's admission check (a zone with
+    /// no surface, no slots or no access point rejects the whole service
+    /// immediately); parts that pass are registered via control messages
+    /// and reconciled all-or-nothing after the next step. Returns the
+    /// campus-wide service id.
     pub fn submit_service(&mut self, parts: Vec<(usize, ServiceRequest)>) -> u64 {
         let id = self.service_seq;
         self.service_seq += 1;
         let feasible = !parts.is_empty()
-            && self.resource_model().slots_per_frame > 0
-            && parts
-                .iter()
-                .all(|(z, _)| !self.shards[*z].kernel.sim().surfaces().is_empty());
+            && parts.iter().all(|(z, _)| {
+                self.shards[*z]
+                    .kernel
+                    .orchestrator()
+                    .admission_error()
+                    .is_none()
+            });
         let status = if feasible {
             ServiceStatus::Pending
         } else {
@@ -1057,7 +1032,10 @@ mod tests {
     fn demo_campus_steps_grants_and_hands_off() {
         let mut demo = demo_campus(2);
         assert_eq!(demo.kernel.shard_count(), 2);
-        assert_eq!(demo.kernel.resource_model().surfaces, 2);
+        let surfaces: Vec<usize> = (0..2)
+            .map(|i| demo.kernel.shard(i).kernel().sim().surfaces().len())
+            .collect();
+        assert_eq!(surfaces, [1, 1]);
         // Speed up the test: fewer optimizer iterations per shard.
         // (Accessible only pre-step via the demo's kernel internals; the
         // default is fine here — two small shards.)
@@ -1136,6 +1114,49 @@ mod tests {
     }
 
     #[test]
+    fn campus_admission_runs_on_each_parts_shard() {
+        let zones = vec![
+            Zone::new(f64::NEG_INFINITY, f64::NEG_INFINITY, 10.0, f64::INFINITY),
+            Zone::new(10.0, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY),
+        ];
+        let band = surfos_em::band::NamedBand::MmWave28GHz.band();
+        let mut kernel = ShardedKernel::new(&FloorPlan::new(), band, zones);
+        let geom = surfos_em::array::ArrayGeometry::half_wavelength(8, 8, band.wavelength_m());
+        for x in [2.0, 12.0] {
+            kernel.add_surface(SurfaceInstance::new(
+                format!("s{x}"),
+                Pose::wall_mounted(Vec3::new(x, 0.0, 1.5), Vec3::Y),
+                geom,
+                surfos_channel::OperationMode::Reflective,
+            ));
+        }
+        // Only zone 0 has an access point.
+        kernel.add_endpoint(Endpoint::access_point(
+            "ap0",
+            Pose::wall_mounted(Vec3::new(1.0, 3.0, 2.0), Vec3::X),
+        ));
+        let request = || ServiceRequest::enhance_link("laptop", 20.0, 50.0);
+        let ok = kernel.submit_service(vec![(0, request())]);
+        let no_ap = kernel.submit_service(vec![(1, request())]);
+        let spans_both = kernel.submit_service(vec![(0, request()), (1, request())]);
+        assert_eq!(kernel.service_status(ok), Some(ServiceStatus::Pending));
+        assert_eq!(kernel.service_status(no_ap), Some(ServiceStatus::Rejected));
+        assert_eq!(
+            kernel.service_status(spans_both),
+            Some(ServiceStatus::Rejected)
+        );
+        // Nothing was queued on the AP-less shard, so stepping is safe.
+        kernel.step(10);
+        assert!(kernel
+            .shard(1)
+            .kernel()
+            .orchestrator()
+            .tasks
+            .all()
+            .is_empty());
+    }
+
+    #[test]
     fn multi_zone_service_reconciles_all_or_nothing() {
         let mut demo = demo_campus(2);
         // A campus service spanning both buildings: both zones have a
@@ -1149,8 +1170,8 @@ mod tests {
             demo.kernel.service_status(span),
             Some(ServiceStatus::Granted)
         );
-        // A service naming a zone with no surface fails the aggregated
-        // admission precheck immediately.
+        // Zone 0 can run tasks, so a service whose subject no surface
+        // serves passes admission and waits.
         let hopeless = demo.kernel.submit_service(vec![(
             0,
             ServiceRequest::optimize_coverage("no-such-room", 20.0),

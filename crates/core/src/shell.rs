@@ -29,6 +29,8 @@ use surfos_geometry::scenario::{corridor, open_office, two_room_apartment, Scena
 use surfos_geometry::{Pose, Vec3};
 use surfos_hw::designs;
 use surfos_hw::driver::{PassiveDriver, ProgrammableDriver, SurfaceDriver};
+use surfos_orchestrator::service::SERVICE_KINDS;
+use surfos_orchestrator::ServiceRequest;
 
 /// A shell error: which line failed and why.
 #[derive(Debug, Clone, PartialEq)]
@@ -105,6 +107,25 @@ impl Shell {
             self.os = Some(os);
         }
         Ok(self.os.as_mut().expect("just initialized"))
+    }
+
+    /// Refuses new work on a kernel that cannot run any task (see
+    /// [`Orchestrator::admission_error`](surfos_orchestrator::Orchestrator::admission_error)).
+    fn check_admission(&mut self) -> Result<(), ShellError> {
+        match self.os_mut()?.orchestrator().admission_error() {
+            Some(reason) => Err(self.err(reason)),
+            None => Ok(()),
+        }
+    }
+
+    /// Both ends of a link, by id.
+    fn endpoint_pair(&mut self, tx: &str, rx: &str) -> Result<(Endpoint, Endpoint), ShellError> {
+        let pair = self
+            .os_mut()?
+            .orchestrator()
+            .endpoint_pair(tx, rx)
+            .map(|(tx, rx)| (tx.clone(), rx.clone()));
+        pair.map_err(|what| self.err(what))
     }
 
     fn parse_f64(&self, s: &str, what: &str) -> Result<f64, ShellError> {
@@ -244,12 +265,13 @@ impl Shell {
                 if args.is_empty() {
                     return Err(self.err("say <utterance>"));
                 }
+                self.check_admission()?;
                 let utterance = args.join(" ");
-                let tasks = self.os_mut()?.handle_utterance(&utterance);
+                let os = self.os_mut()?;
+                let tasks = os.handle_utterance(&utterance);
                 if tasks.is_empty() {
                     Ok("no service invoked".into())
                 } else {
-                    let os = self.os.as_ref().expect("live");
                     let lines: Vec<String> = tasks
                         .iter()
                         .map(|t| {
@@ -262,27 +284,12 @@ impl Shell {
             }
             "request" => {
                 let [kind, subject, value] = args[..] else {
-                    return Err(self.err(
-                        "request <coverage|link|sensing|powering|protect> <subject> <value>",
-                    ));
+                    return Err(self.err(format!("request <{SERVICE_KINDS}> <subject> <value>")));
                 };
                 let value = self.parse_f64(value, "value")?;
-                let req = match kind {
-                    "coverage" => {
-                        surfos_orchestrator::ServiceRequest::optimize_coverage(subject, value)
-                    }
-                    "link" => {
-                        surfos_orchestrator::ServiceRequest::enhance_link(subject, value, 50.0)
-                    }
-                    "sensing" => {
-                        surfos_orchestrator::ServiceRequest::enable_sensing(subject, value)
-                    }
-                    "powering" => {
-                        surfos_orchestrator::ServiceRequest::init_powering(subject, value)
-                    }
-                    "protect" => surfos_orchestrator::ServiceRequest::protect_link(subject, value),
-                    other => return Err(self.err(format!("unknown request kind {other:?}"))),
-                };
+                self.check_admission()?;
+                let req =
+                    ServiceRequest::from_kind(kind, subject, value).map_err(|e| self.err(e))?;
                 let id = self.os_mut()?.submit(req);
                 Ok(format!("task {id} admitted"))
             }
@@ -331,24 +338,8 @@ impl Shell {
                 let [tx, rx] = args[..] else {
                     return Err(self.err("budget <tx-id> <rx-id>"));
                 };
-                let os = self.os_mut()?;
-                let tx = os
-                    .orchestrator()
-                    .endpoint(tx)
-                    .ok_or_else(|| ShellError {
-                        line: 0,
-                        what: format!("unknown endpoint {tx:?}"),
-                    })?
-                    .clone();
-                let rx = os
-                    .orchestrator()
-                    .endpoint(rx)
-                    .ok_or_else(|| ShellError {
-                        line: 0,
-                        what: format!("unknown endpoint {rx:?}"),
-                    })?
-                    .clone();
-                let b = os.sim().link_budget(&tx, &rx);
+                let (tx, rx) = self.endpoint_pair(tx, rx)?;
+                let b = self.os_mut()?.sim().link_budget(&tx, &rx);
                 Ok(format!(
                     "RSS {:.1} dBm | noise {:.1} dBm | SNR {:.1} dB | capacity {:.0} Mb/s",
                     b.rss_dbm,
@@ -361,17 +352,8 @@ impl Shell {
                 let [tx, rx] = args[..] else {
                     return Err(self.err("diagnose <tx-id> <rx-id>"));
                 };
-                let os = self.os_mut()?;
-                let (Some(tx), Some(rx)) = (
-                    os.orchestrator().endpoint(tx).cloned(),
-                    os.orchestrator().endpoint(rx).cloned(),
-                ) else {
-                    return Err(ShellError {
-                        line: 0,
-                        what: "unknown endpoint".into(),
-                    });
-                };
-                let d = diagnose_link(os.sim(), &tx, &rx);
+                let (tx, rx) = self.endpoint_pair(tx, rx)?;
+                let d = diagnose_link(self.os_mut()?.sim(), &tx, &rx);
                 let mut out = vec![format!("total {:.1} dB", d.total_db)];
                 for c in d.contributions.iter().take(5) {
                     out.push(format!(
@@ -409,17 +391,8 @@ impl Shell {
                     return Err(self.err("crossband <band> <tx-id> <rx-id>"));
                 };
                 let foreign_band = self.parse_band(band)?;
-                let os = self.os_mut()?;
-                let (Some(tx), Some(rx)) = (
-                    os.orchestrator().endpoint(tx).cloned(),
-                    os.orchestrator().endpoint(rx).cloned(),
-                ) else {
-                    return Err(ShellError {
-                        line: 0,
-                        what: "unknown endpoint".into(),
-                    });
-                };
-                let foreign = os.foreign_band_view(foreign_band);
+                let (tx, rx) = self.endpoint_pair(tx, rx)?;
+                let foreign = self.os_mut()?.foreign_band_view(foreign_band);
                 let with_surfaces = foreign.rss_dbm(&tx, &rx);
                 let clear = ChannelSim::new(foreign.plan.clone(), foreign_band).rss_dbm(&tx, &rx);
                 Ok(format!(
@@ -541,8 +514,8 @@ impl Shell {
                     surfos_obs::set_enabled(false);
                     Ok("metrics collection disabled".into())
                 }
-                Some("json") => Ok(surfos_obs::snapshot().to_json()),
-                None => Ok(surfos_obs::snapshot().render()),
+                Some("json") => Ok(crate::telemetry::metrics_snapshot().to_json()),
+                None => Ok(crate::telemetry::metrics_snapshot().render()),
                 Some(other) => Err(self.err(format!("metrics [on|off|json], not {other:?}"))),
             },
             "top" => {

@@ -11,6 +11,8 @@
 //! under `kernel.<field>`; [`Telemetry::from_snapshot`] reconstructs the
 //! struct from a snapshot, making these counters a *view* over the
 //! registry whenever observability is enabled.
+//!
+//! [`metrics_snapshot`] is the one snapshot the front ends publish.
 
 use serde::ser::SerializeStruct;
 
@@ -118,9 +120,33 @@ impl std::fmt::Display for Telemetry {
     }
 }
 
+/// The observability snapshot every front end publishes (`surfosd
+/// --metrics-json`, the daemon's `metrics` op, the shell's `metrics`
+/// command): the registry's contents plus the process's SIMD arm as the
+/// `em.simd.backend` gauge. The arm is read here, at collect time, so it
+/// appears in every snapshot alike instead of in whichever run first
+/// triggered SIMD dispatch.
+pub fn metrics_snapshot() -> surfos_obs::Snapshot {
+    let mut snap = surfos_obs::snapshot();
+    snap.gauges.insert(
+        "em.simd.backend".into(),
+        surfos_em::simd::backend() as u8 as f64,
+    );
+    snap
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn published_snapshot_carries_the_simd_backend() {
+        let snap = metrics_snapshot();
+        assert_eq!(
+            snap.gauges.get("em.simd.backend"),
+            Some(&(surfos_em::simd::backend() as u8 as f64))
+        );
+    }
 
     #[test]
     fn default_is_zero_and_displays() {

@@ -1586,9 +1586,9 @@ pub fn avx2_available() -> bool {
 ///
 /// After the first call this is a single relaxed atomic load — cheap
 /// enough to sit inside per-query dispatch without a function-pointer
-/// table. The decision is logged once through `surfos-obs` (an
-/// `em.simd.backend` gauge plus an `em.simd` journal event), so bench
-/// and trace artifacts are attributable to a backend.
+/// table. The choice is a fact about the process, not about any one run,
+/// so nothing is logged here: snapshot publishers read it at collect
+/// time (`surfos::telemetry::metrics_snapshot`).
 #[inline]
 pub fn backend() -> Backend {
     match ACTIVE.load(Ordering::Relaxed) {
@@ -1599,8 +1599,9 @@ pub fn backend() -> Backend {
     }
 }
 
-/// One-time dispatch: detect, apply the `SURFOS_SIMD` override, cache,
-/// and log the decision.
+/// One-time dispatch: detect, apply the `SURFOS_SIMD` override (an
+/// unrunnable or unrecognised value falls back to the detected arm) and
+/// cache. Racing first callers compute the same answer.
 #[cold]
 fn init_backend() -> Backend {
     let detected = if avx2_available() {
@@ -1608,44 +1609,13 @@ fn init_backend() -> Backend {
     } else {
         Backend::Sse2
     };
-    let (chosen, how) = match std::env::var("SURFOS_SIMD") {
-        Ok(v) => match v.as_str() {
-            "scalar" => (Backend::Scalar, "forced by SURFOS_SIMD"),
-            "sse2" => (Backend::Sse2, "forced by SURFOS_SIMD"),
-            "avx2" if detected == Backend::Avx2 => (Backend::Avx2, "forced by SURFOS_SIMD"),
-            "avx2" => (
-                detected,
-                "SURFOS_SIMD=avx2 not runnable here; using detected",
-            ),
-            _ => (detected, "unrecognised SURFOS_SIMD value ignored; detected"),
-        },
-        Err(_) => (detected, "detected"),
+    let chosen = match std::env::var("SURFOS_SIMD").as_deref() {
+        Ok("scalar") => Backend::Scalar,
+        Ok("sse2") => Backend::Sse2,
+        _ => detected,
     };
-    if ACTIVE
-        .compare_exchange(0, chosen as u8, Ordering::Relaxed, Ordering::Relaxed)
-        .is_ok()
-    {
-        // Only the thread that wins the race logs, so the journal gets
-        // exactly one dispatch event per process. Best-effort: if obs
-        // is not enabled yet the gauge is a no-op, so obs consumers
-        // (obs_smoke, perf_smoke.sh) also report the backend
-        // explicitly via `backend()`. Logged from a fresh thread
-        // (joined, so the record is in place before the first SIMD op):
-        // the record is process-global, and must not inherit whichever
-        // caller thread's obs label scope happened to win the init race
-        // — a `{shard=N}`-tagged backend gauge would be
-        // scheduling-dependent.
-        let name = chosen.name();
-        std::thread::spawn(move || {
-            surfos_obs::gauge("em.simd.backend", chosen as u8 as f64);
-            surfos_obs::event!("em.simd", "dispatch: backend={} ({})", name, how);
-        })
-        .join()
-        .ok();
-        chosen
-    } else {
-        backend()
-    }
+    ACTIVE.store(chosen as u8, Ordering::Relaxed);
+    chosen
 }
 
 #[cfg(test)]

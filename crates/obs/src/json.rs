@@ -207,11 +207,13 @@ pub enum JsonValue {
 }
 
 impl JsonValue {
-    /// Parses a JSON document.
+    /// Parses a JSON document. Arrays and objects nested more than 128
+    /// levels deep are an error, not a stack overflow.
     pub fn parse(text: &str) -> Result<JsonValue, String> {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -266,9 +268,18 @@ impl JsonValue {
     }
 }
 
+/// Deepest array/object nesting [`JsonValue::parse`] accepts. The parser
+/// recurses once per level, so without a cap one small document of
+/// `[[[[…` overflows the parsing thread's stack, which aborts the whole
+/// process. Everything this workspace writes and reads back (metrics
+/// snapshots, rpc envelopes, trace exports) nests fewer than ten levels.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -306,8 +317,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -315,6 +326,24 @@ impl Parser<'_> {
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(format!("unexpected input at byte {}", self.pos)),
         }
+    }
+
+    /// Parses one array or object one level deeper, refusing past
+    /// [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} levels at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -471,6 +500,29 @@ mod tests {
         assert!(JsonValue::parse("{\"a\": }").is_err());
         assert!(JsonValue::parse("[1, 2").is_err());
         assert!(JsonValue::parse("[1] garbage").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_not_a_stack_overflow() {
+        let nest = |depth: usize| format!("{}{}", "[".repeat(depth), "]".repeat(depth));
+        assert!(JsonValue::parse(&nest(MAX_DEPTH)).is_ok());
+        let err = JsonValue::parse(&nest(MAX_DEPTH + 1)).unwrap_err();
+        assert!(err.contains("nesting deeper than"), "{err}");
+        let objects = format!(
+            "{}1{}",
+            r#"{"a":"#.repeat(MAX_DEPTH + 1),
+            "}".repeat(MAX_DEPTH + 1)
+        );
+        assert!(JsonValue::parse(&objects).is_err());
+        // A hostile half-megabyte of openers fails fast on any stack.
+        let hostile = "[".repeat(500 * 1024);
+        let err = std::thread::Builder::new()
+            .stack_size(256 * 1024)
+            .spawn(move || JsonValue::parse(&hostile).unwrap_err())
+            .unwrap()
+            .join()
+            .expect("parser must not overflow the stack");
+        assert!(err.contains(&MAX_DEPTH.to_string()), "{err}");
     }
 
     #[test]

@@ -161,7 +161,9 @@ mod tests {
 
     #[test]
     fn interner_caps_cardinality() {
-        // Use the interner directly (no global enable flag involved).
+        // Use the interner directly, but hold the crate's test lock: other
+        // tests' `obs::reset()` clears this interner mid-count.
+        let _x = crate::tests::exclusive();
         reset();
         for i in 0..MAX_LABEL_SETS {
             assert!(intern(format!("k={i}")).is_some());

@@ -200,10 +200,11 @@ mod tests {
     use super::*;
     use std::sync::Mutex;
 
-    /// Serializes tests that touch the global registry/enable flag.
+    /// Serializes tests that touch the global registry/enable flag (and,
+    /// through `reset`, the label interner).
     static TEST_LOCK: Mutex<()> = Mutex::new(());
 
-    fn exclusive() -> std::sync::MutexGuard<'static, ()> {
+    pub(crate) fn exclusive() -> std::sync::MutexGuard<'static, ()> {
         TEST_LOCK.lock().unwrap_or_else(|e| e.into_inner())
     }
 

@@ -87,6 +87,17 @@ impl Orchestrator {
         self.endpoints.get(id)
     }
 
+    /// Looks up both ends of a link; the error names the first id that is
+    /// not registered.
+    pub fn endpoint_pair(&self, tx: &str, rx: &str) -> Result<(&Endpoint, &Endpoint), String> {
+        let get = |id: &str| {
+            self.endpoints
+                .get(id)
+                .ok_or_else(|| format!("unknown endpoint {id:?}"))
+        };
+        Ok((get(tx)?, get(rx)?))
+    }
+
     /// Moves an endpoint (user mobility); returns false if unknown.
     pub fn move_endpoint(&mut self, id: &str, position: surfos_geometry::Vec3) -> bool {
         match self.endpoints.get_mut(id) {
@@ -137,6 +148,23 @@ impl Orchestrator {
     /// `protect_link(room, max_leak)`.
     pub fn protect_link(&mut self, room: &str, max_leak_dbm: f64) -> TaskId {
         self.submit(ServiceRequest::protect_link(room, max_leak_dbm))
+    }
+
+    /// Why this orchestrator cannot run any task, if it cannot: no
+    /// surfaces deployed, a zero-slot frame, or no access point to serve
+    /// from. Front ends refuse new work on `Some` instead of queueing
+    /// tasks that would never run (or that would panic the next
+    /// [`schedule_frame`](Self::schedule_frame) looking for an AP).
+    pub fn admission_error(&self) -> Option<&'static str> {
+        if self.sim.surfaces().is_empty() {
+            Some("no surfaces deployed: the resource grid is empty")
+        } else if self.slots_per_frame == 0 {
+            Some("scheduler frame has zero slots")
+        } else if self.ap_id.is_none() {
+            Some("no access point registered")
+        } else {
+            None
+        }
     }
 
     /// Admits an arbitrary request.
@@ -451,6 +479,21 @@ impl Orchestrator {
         self.slices.release_task(task);
     }
 
+    /// Retires a task its client released: a running task goes idle first
+    /// (freeing its slices) and completes, an idle one completes, a
+    /// pending one fails. Finished or unknown tasks are left alone.
+    pub fn retire(&mut self, task: TaskId) {
+        match self.tasks.get(task).map(|t| t.state) {
+            Some(TaskState::Running) => {
+                self.set_idle(task);
+                self.tasks.set_state(task, TaskState::Completed);
+            }
+            Some(TaskState::Idle) => self.tasks.set_state(task, TaskState::Completed),
+            Some(TaskState::Pending) => self.tasks.set_state(task, TaskState::Failed),
+            _ => {}
+        }
+    }
+
     /// Measured service metric for a task with the current configuration.
     pub fn measure(&mut self, task: TaskId) -> Option<f64> {
         let _span = surfos_obs::span!("orchestrator.measure");
@@ -626,6 +669,69 @@ mod tests {
         let out = o.schedule_frame();
         assert!(out.rejected.is_empty());
         assert_eq!(o.tasks.get(t).unwrap().state, TaskState::Running);
+    }
+
+    #[test]
+    fn retire_follows_the_release_discipline_in_every_state() {
+        let mut o = build();
+        let running = o.optimize_coverage("bedroom", 25.0);
+        let idle = o.enable_sensing("bedroom", 600.0);
+        o.schedule_frame();
+        o.set_idle(idle);
+        let pending = o.optimize_coverage("bedroom", 20.0);
+        assert!(!o.slices.slices_of(running).is_empty());
+
+        o.retire(running);
+        assert_eq!(o.tasks.get(running).unwrap().state, TaskState::Completed);
+        assert!(o.slices.slices_of(running).is_empty(), "slices freed");
+        o.retire(idle);
+        assert_eq!(o.tasks.get(idle).unwrap().state, TaskState::Completed);
+        o.retire(pending);
+        assert_eq!(o.tasks.get(pending).unwrap().state, TaskState::Failed);
+
+        // Completed and Failed are terminal: retiring again changes nothing,
+        // and an unknown id is a no-op.
+        o.retire(running);
+        o.retire(pending);
+        o.retire(999);
+        assert_eq!(o.tasks.get(running).unwrap().state, TaskState::Completed);
+        assert_eq!(o.tasks.get(pending).unwrap().state, TaskState::Failed);
+    }
+
+    #[test]
+    fn admission_needs_a_surface_slots_and_an_access_point() {
+        let scen = two_room_apartment();
+        let bare = ChannelSim::new(scen.plan.clone(), NamedBand::MmWave28GHz.band());
+        let mut o = Orchestrator::new(bare);
+        o.add_endpoint(Endpoint::access_point("ap0", scen.ap_pose));
+        assert_eq!(
+            o.admission_error(),
+            Some("no surfaces deployed: the resource grid is empty")
+        );
+
+        let mut o = build();
+        assert_eq!(o.admission_error(), None);
+        o.slots_per_frame = 0;
+        assert_eq!(o.admission_error(), Some("scheduler frame has zero slots"));
+
+        // Same surface, no endpoints at all.
+        let o = Orchestrator::new(build().sim);
+        assert_eq!(o.admission_error(), Some("no access point registered"));
+    }
+
+    #[test]
+    fn endpoint_pair_names_the_missing_id() {
+        let o = build();
+        let (tx, rx) = o.endpoint_pair("ap0", "laptop").unwrap();
+        assert_eq!((tx.id.as_str(), rx.id.as_str()), ("ap0", "laptop"));
+        assert_eq!(
+            o.endpoint_pair("ghost", "laptop").unwrap_err(),
+            "unknown endpoint \"ghost\""
+        );
+        assert_eq!(
+            o.endpoint_pair("ap0", "ghost").unwrap_err(),
+            "unknown endpoint \"ghost\""
+        );
     }
 
     #[test]

@@ -6,6 +6,10 @@
 
 use serde::{Deserialize, Serialize};
 
+/// The front-end names of the five service classes, as the daemon's
+/// `register` op and the shell's `request` command spell them.
+pub const SERVICE_KINDS: &str = "coverage|link|sensing|powering|protect";
+
 /// The classes of low-level capability surfaces provide (paper Figure 1).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ServiceKind {
@@ -137,6 +141,22 @@ impl ServiceRequest {
         }
     }
 
+    /// Builds a request from its front-end kind name (see
+    /// [`SERVICE_KINDS`]) and one quantitative argument: the SNR or
+    /// leak target in dB(m), or the duration in seconds for sensing and
+    /// powering. Links get a 50 ms latency budget. An unknown kind is an
+    /// error naming the accepted kinds.
+    pub fn from_kind(kind: &str, subject: &str, value: f64) -> Result<Self, String> {
+        Ok(match kind {
+            "coverage" => Self::optimize_coverage(subject, value),
+            "link" => Self::enhance_link(subject, value, 50.0),
+            "sensing" => Self::enable_sensing(subject, value),
+            "powering" => Self::init_powering(subject, value),
+            "protect" => Self::protect_link(subject, value),
+            _ => return Err(format!("unknown service kind {kind:?} ({SERVICE_KINDS})")),
+        })
+    }
+
     /// Sets the priority (builder style).
     pub fn with_priority(mut self, priority: u8) -> Self {
         self.priority = priority;
@@ -218,6 +238,29 @@ mod tests {
 
         let r = ServiceRequest::init_powering("phone", 3600.0);
         assert_eq!(r.to_string(), "init_powering(\"phone\", duration=3600)");
+    }
+
+    #[test]
+    fn kind_names_map_onto_the_five_classes() {
+        let kinds: Vec<ServiceKind> = SERVICE_KINDS
+            .split('|')
+            .map(|k| ServiceRequest::from_kind(k, "x", 1.0).unwrap().kind)
+            .collect();
+        assert_eq!(
+            kinds,
+            [
+                ServiceKind::Coverage,
+                ServiceKind::Connectivity,
+                ServiceKind::Sensing,
+                ServiceKind::Powering,
+                ServiceKind::Security
+            ]
+        );
+        let err = ServiceRequest::from_kind("teleport", "x", 1.0).unwrap_err();
+        assert!(
+            err.contains("\"teleport\"") && err.contains(SERVICE_KINDS),
+            "{err}"
+        );
     }
 
     #[test]

@@ -41,6 +41,11 @@ for arm in "${simd_arms[@]}"; do
   SURFOS_SIMD="$arm" cargo test -q -p surfos-em -p surfos-geometry -p surfos-channel
 done
 
+# Determinism gate: the deterministic metrics projection must be
+# byte-identical across identical runs with nothing else in the process,
+# so a pass that depends on a sibling test having run first cannot hide.
+cargo test -q -p surfos --test observability -- --exact identical_runs_yield_identical_deterministic_metrics
+
 # Shard-equivalence gate: the sharded kernel must stay bit-identical to a
 # flat single-scene evaluation even with the worker pool forced serial, so
 # a result that silently depends on thread count cannot land.
@@ -90,4 +95,4 @@ SURFOS_METRICS_CHECK="$metrics_tmp" \
 # via #![warn(missing_docs)]) fail the build, not just warn.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
+echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"

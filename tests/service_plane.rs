@@ -418,3 +418,69 @@ fn auto_tenant_leases_die_with_the_connection() {
     }
     server.stop();
 }
+
+#[test]
+fn deeply_nested_frame_costs_one_error_not_the_daemon() {
+    let server = serve(tcp_opts());
+    let mut c = connect(&server);
+    // Half a megabyte of `[`: a parser without a depth cap recurses once
+    // per byte and overflows the worker's stack, aborting the process.
+    write_frame(&mut c, &"[".repeat(500 * 1024)).unwrap();
+    let (_, resp) = Response::decode(&read_frame(&mut c).unwrap().unwrap()).unwrap();
+    let Response::Error { message } = resp else {
+        panic!("expected one error answer, got {resp:?}");
+    };
+    assert!(message.contains("nesting"), "{message}");
+    // Same session, next request: the daemon is still there.
+    assert!(matches!(
+        call(&mut c, &RequestEnvelope::new(2, Request::Ping)),
+        Response::Pong { .. }
+    ));
+    server.stop();
+}
+
+#[test]
+fn heartbeat_on_a_kernel_without_an_access_point_keeps_serving() {
+    // A surface but no access point: a task admitted here would panic
+    // the next heartbeat's schedule while it holds the kernel lock.
+    let mut shell = surfos::shell::Shell::new();
+    shell
+        .run_script(
+            "scenario apartment\ndeploy wall0 scattermimo bedroom-north\nclient laptop 6.5 1.5 1.2",
+        )
+        .unwrap();
+    let kernel = shell.into_kernel().expect("script boots a kernel");
+    let server = Server::start(
+        kernel,
+        ServeOptions {
+            tick_ms: 5,
+            ..tcp_opts()
+        },
+    )
+    .expect("bind loopback");
+    let mut c = connect(&server);
+    let resp = call(
+        &mut c,
+        &RequestEnvelope::new(
+            1,
+            Request::RegisterService {
+                kind: "coverage".into(),
+                subject: "bedroom".into(),
+                value: 25.0,
+            },
+        ),
+    );
+    assert_eq!(
+        resp,
+        Response::Rejected {
+            reason: "no access point registered".into()
+        }
+    );
+    // Several heartbeats later the daemon still answers.
+    std::thread::sleep(Duration::from_millis(60));
+    assert!(matches!(
+        call(&mut c, &RequestEnvelope::new(2, Request::Ping)),
+        Response::Pong { .. }
+    ));
+    server.stop();
+}
