@@ -7,6 +7,7 @@ use rand::SeedableRng;
 use std::hint::black_box;
 use surfos::orchestrator::objective::{CoverageObjective, Objective};
 use surfos::orchestrator::optimizer::{adam, greedy_quantized, random_search, AdamOptions, Tying};
+use surfos::orchestrator::ServiceRequest;
 use surfos_bench::ApartmentLab;
 
 fn coverage_objective(n: usize) -> CoverageObjective {
@@ -109,11 +110,28 @@ fn bench_column_tying(c: &mut Criterion) {
     group.finish();
 }
 
+/// One kernel heartbeat with three live powering tasks on the daemon's
+/// demo kernel: the joint Adam run `surfosd serve`'s ticker performs under
+/// the kernel lock. Three single-link terms are too small to fan out, so
+/// this should cost about three one-task heartbeats; a per-iteration
+/// thread hand-off shows up here as a step change.
+fn bench_heartbeat(c: &mut Criterion) {
+    let mut group = c.benchmark_group("optimizer");
+    let mut os = surfos::daemon::demo_kernel();
+    for _ in 0..3 {
+        os.submit(ServiceRequest::init_powering("laptop", 3600.0));
+    }
+    os.step(200);
+    group.bench_function("heartbeat_3tasks", |b| b.iter(|| black_box(os.step(200))));
+    group.finish();
+}
+
 criterion_group!(
     benches,
     bench_loss_and_gradient,
     bench_adam_iterations,
     bench_baselines,
-    bench_column_tying
+    bench_column_tying,
+    bench_heartbeat
 );
 criterion_main!(benches);

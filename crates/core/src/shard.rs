@@ -33,11 +33,14 @@
 //! the same rule the daemon and the shell apply to a flat kernel.
 //!
 //! Determinism: phase A (walker routing) and phase B (shard heartbeats)
-//! run on a scoped worker pool ([`surfos_channel::par`]), but every
-//! channel is drained in source-shard order and walker lists are re-sorted
-//! by id after absorption, so the outcome is independent of thread count
-//! and identical to serial execution. `SURFOS_THREADS=1` pins the pool for
-//! CI.
+//! fan out over the process-wide worker pool ([`surfos_channel::par`]):
+//! parked threads started once per process, so a tick pays a wake-up, not
+//! a thread spawn. Every channel is drained in source-shard order and
+//! walker lists are re-sorted by id after absorption, so the outcome is
+//! independent of thread count and identical to serial execution. A tick
+//! issued while the pool is busy (another kernel's fan-out) runs its
+//! shards inline, same bits. `SURFOS_THREADS=1` (read once per process)
+//! pins the pool for CI.
 
 use std::collections::BTreeMap;
 use std::sync::mpsc::{channel, Receiver, Sender};
@@ -325,8 +328,9 @@ pub struct ShardedKernel {
     now_ms: u64,
     walker_seq: u64,
     service_seq: u64,
-    /// Worker-pool override (tests pin this; `None` → `SURFOS_THREADS` /
-    /// hardware via [`par::configured_threads`]).
+    /// Chunk-count override for the shard fan-out (tests pin this;
+    /// `None` → `SURFOS_THREADS` / hardware via
+    /// [`par::configured_threads`]).
     threads: Option<usize>,
     /// Global link id → (shard, local index).
     links: Vec<(usize, usize)>,
@@ -451,9 +455,11 @@ impl ShardedKernel {
         self.now_ms
     }
 
-    /// Pins the worker pool (`Some(1)` forces serial supersteps); `None`
-    /// restores the `SURFOS_THREADS` / hardware default. Thread count
-    /// never changes results, only wall-clock.
+    /// Pins how many chunks each superstep's shards split into (`Some(1)`
+    /// forces serial supersteps); `None` restores the `SURFOS_THREADS` /
+    /// hardware default. The chunks run on the shared pool, so more
+    /// chunks than pool threads just queue. Thread count never changes
+    /// results, only wall-clock.
     pub fn set_worker_threads(&mut self, threads: Option<usize>) {
         self.threads = threads;
     }
@@ -601,15 +607,15 @@ impl ShardedKernel {
         self.now_ms += dt_ms;
         let t_s = self.now_ms as f64 / 1000.0;
         let threads = self.worker_count();
-        par_shards(&mut self.shards, threads, |s| {
+        par::par_map_mut_with_threads(&mut self.shards, threads, |s| {
             let _obs = surfos_obs::scoped(&[("shard", s.index)]);
             let _span = surfos_obs::span!("kernel.shard.route");
             s.route_walkers(t_s)
         });
-        let per_shard = par_shards(&mut self.shards, threads, |s| {
+        let per_shard = par::par_map_mut_with_threads(&mut self.shards, threads, |s| {
             // Per-shard label scope: every counter/span the kernel records
-            // in this phase also lands under `{shard=N}`, and the worker's
-            // flight-recorder track is named after the shard.
+            // in this phase also lands under `{shard=N}`, and its trace
+            // events land on the `shard=N` track.
             let _obs = surfos_obs::scoped(&[("shard", s.index)]);
             s.absorb();
             s.control();
@@ -635,12 +641,12 @@ impl ShardedKernel {
         self.now_ms += dt_ms;
         let t_s = self.now_ms as f64 / 1000.0;
         let threads = self.worker_count();
-        par_shards(&mut self.shards, threads, |s| {
+        par::par_map_mut_with_threads(&mut self.shards, threads, |s| {
             let _obs = surfos_obs::scoped(&[("shard", s.index)]);
             let _span = surfos_obs::span!("kernel.shard.route");
             s.route_walkers(t_s)
         });
-        par_shards(&mut self.shards, threads, |s| {
+        par::par_map_mut_with_threads(&mut self.shards, threads, |s| {
             let _obs = surfos_obs::scoped(&[("shard", s.index)]);
             let _span = surfos_obs::span!("kernel.shard.eval");
             s.absorb();
@@ -733,7 +739,7 @@ impl ShardedKernel {
     /// campus-global surface indices.
     pub fn linearize_links(&mut self) -> Vec<Linearization> {
         let threads = self.worker_count();
-        let per_shard = par_shards(&mut self.shards, threads, |s| {
+        let per_shard = par::par_map_mut_with_threads(&mut self.shards, threads, |s| {
             let _obs = surfos_obs::scoped(&[("shard", s.index)]);
             let _span = surfos_obs::span!("kernel.shard.linearize");
             s.linearize_links()
@@ -786,34 +792,6 @@ fn remap(lin: &Linearization, globals: &[usize]) -> Linearization {
         term.first = globals[term.first];
         term.second = globals[term.second];
     }
-    out
-}
-
-/// Runs `f` once per shard on a scoped worker pool, results in shard
-/// order. `threads <= 1` is the plain serial loop — bit-identical either
-/// way, since shards only communicate through their channels and those are
-/// drained in deterministic order afterwards.
-fn par_shards<R, F>(shards: &mut [KernelShard], threads: usize, f: F) -> Vec<R>
-where
-    R: Send,
-    F: Fn(&mut KernelShard) -> R + Sync,
-{
-    if threads <= 1 || shards.len() <= 1 {
-        return shards.iter_mut().map(f).collect();
-    }
-    let chunk_len = shards.len().div_ceil(threads);
-    let f = &f;
-    let mut out = Vec::with_capacity(shards.len());
-    std::thread::scope(|scope| {
-        let workers: Vec<_> = shards
-            .chunks_mut(chunk_len)
-            .map(|chunk| scope.spawn(move || chunk.iter_mut().map(f).collect::<Vec<R>>()))
-            .collect();
-        // Joining in spawn order = chunk order = shard order.
-        for worker in workers {
-            out.extend(worker.join().expect("shard worker panicked"));
-        }
-    });
     out
 }
 
@@ -971,7 +949,7 @@ pub fn demo_campus_with_zones(buildings: usize, zones: Option<Vec<Zone>>) -> Cam
 mod tests {
     use super::*;
 
-    /// Shards move onto scoped worker threads; everything they own must
+    /// Shards move onto pool worker threads; everything they own must
     /// be `Send`.
     #[allow(dead_code)]
     fn assert_shard_is_send() {

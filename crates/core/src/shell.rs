@@ -373,7 +373,15 @@ impl Shell {
                     });
                 };
                 let grid = room.sample_grid(12, 8, 1.2, 0.3);
-                let ap = os.orchestrator().ap().clone();
+                let ap = match os.orchestrator().try_ap() {
+                    Ok(ap) => ap.clone(),
+                    Err(what) => {
+                        return Err(ShellError {
+                            line: 0,
+                            what: what.into(),
+                        })
+                    }
+                };
                 let probe = Endpoint::client("probe", grid[0]);
                 let map = os.sim().snr_heatmap(&ap, &grid, &probe);
                 Ok(format!(
@@ -669,6 +677,14 @@ telemetry
         assert!(d.contains("surface:wall0"), "{d}");
         let h = shell.execute("heatmap bedroom").unwrap();
         assert!(h.contains("median SNR"), "{h}");
+    }
+
+    #[test]
+    fn heatmap_without_access_point_is_an_error() {
+        let mut shell = Shell::new();
+        shell.execute("scenario apartment").unwrap();
+        let err = shell.execute("heatmap bedroom").unwrap_err();
+        assert_eq!(err.what, "no access point registered");
     }
 
     #[test]

@@ -54,12 +54,36 @@ fn lock() -> std::sync::MutexGuard<'static, Interner> {
 thread_local! {
     /// The interned suffix id active on this thread (0 = unlabeled).
     static CURRENT: Cell<u32> = const { Cell::new(0) };
+    /// The suffix id of the outermost scope open on this thread (0 = none):
+    /// the trace track its events land on. Inner scopes never change it,
+    /// so a shard's work stays on the `shard=N` track even when bookkeeping
+    /// scopes open inside it.
+    static TRACK: Cell<u32> = const { Cell::new(0) };
 }
 
 /// The label-suffix id active on the calling thread.
 #[inline]
 pub(crate) fn current() -> u32 {
     CURRENT.with(|c| c.get())
+}
+
+/// The trace-track id active on the calling thread (0 = the thread's own
+/// track).
+#[inline]
+pub(crate) fn track() -> u32 {
+    TRACK.with(|c| c.get())
+}
+
+/// Clears the calling thread's label scope (as on a fresh thread) and
+/// returns what [`restore`] needs to put it back.
+pub(crate) fn take() -> (u32, u32) {
+    (CURRENT.with(|c| c.replace(0)), TRACK.with(|c| c.replace(0)))
+}
+
+/// Reinstates a scope saved by [`take`].
+pub(crate) fn restore((current, track): (u32, u32)) {
+    CURRENT.with(|c| c.set(current));
+    TRACK.with(|c| c.set(track));
 }
 
 /// The suffix body (`shard=3` — no braces) for an interned id.
@@ -122,6 +146,9 @@ impl Drop for LabelGuard {
     fn drop(&mut self) {
         if self.active {
             CURRENT.with(|c| c.set(self.prev));
+            if self.prev == 0 {
+                TRACK.with(|c| c.set(0));
+            }
         }
     }
 }
@@ -143,12 +170,12 @@ pub(crate) fn scoped<V: Display>(labels: &[(&str, V)]) -> LabelGuard {
         }
         let _ = write!(suffix, "{k}={v}");
     }
-    if crate::trace::enabled() {
-        crate::trace::label_current_thread(&suffix);
-    }
     match intern(suffix) {
         Some(id) => {
             CURRENT.with(|c| c.set(id));
+            if prev == 0 {
+                TRACK.with(|c| c.set(id));
+            }
             LabelGuard { prev, active: true }
         }
         None => INERT,

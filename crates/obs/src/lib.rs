@@ -130,10 +130,10 @@ pub fn observe_ns(name: &'static str, ns: u64) {
 }
 
 /// Pushes a label scope: while the returned guard lives, samples recorded
-/// on this thread are also attributed to `name{key=value,...}` keys (and a
-/// tracing thread's track is renamed to the label set). Scopes nest by
-/// appending. Inert while disabled or past the label-cardinality cap
-/// (counted in `obs.labels.dropped`).
+/// on this thread are also attributed to `name{key=value,...}` keys (and,
+/// for the outermost scope, trace events land on a track named after the
+/// label set). Scopes nest by appending. Inert while disabled or past the
+/// label-cardinality cap (counted in `obs.labels.dropped`).
 ///
 /// ```
 /// surfos_obs::set_enabled(true);
@@ -147,6 +147,34 @@ pub fn observe_ns(name: &'static str, ns: u64) {
 #[inline]
 pub fn scoped<V: std::fmt::Display>(labels: &[(&str, V)]) -> LabelGuard {
     labels::scoped(labels)
+}
+
+/// Detaches the calling thread from its open spans and label scope until
+/// the returned guard drops: everything recorded meanwhile is keyed as on
+/// a fresh thread (root span path, no labels, the thread's own trace
+/// track). The fan-out pool wraps every chunk in one, so a chunk's keys do
+/// not depend on whether the caller or a pooled worker ran it. Inert while
+/// disabled.
+pub fn detached() -> DetachGuard {
+    DetachGuard {
+        saved: enabled().then(|| (span::take_path(), labels::take())),
+    }
+}
+
+/// Guard returned by [`detached`]; restores the thread's span path and
+/// label scope on drop.
+#[must_use = "binding a detach guard to `_` drops it immediately; use a named variable"]
+pub struct DetachGuard {
+    saved: Option<(String, (u32, u32))>,
+}
+
+impl Drop for DetachGuard {
+    fn drop(&mut self) {
+        if let Some((path, scope)) = self.saved.take() {
+            span::restore_path(path);
+            labels::restore(scope);
+        }
+    }
 }
 
 /// Starts a span named `name` on the current thread; the returned guard
@@ -438,6 +466,81 @@ mod tests {
             .get("timers")
             .and_then(|t| t.get("t.rt.timer_ns"))
             .is_none());
+    }
+
+    #[test]
+    fn detached_records_as_a_fresh_thread_then_restores() {
+        let _x = exclusive();
+        set_enabled(true);
+        reset();
+        {
+            let _scope = scoped(&[("shard", 1)]);
+            let _outer = span!("t.dt.outer");
+            {
+                let _root = detached();
+                let _inner = span!("t.dt.inner");
+                add("t.dt.inside", 1);
+            }
+            add("t.dt.after", 1);
+            let _later = span!("t.dt.later");
+        }
+        let snap = snapshot();
+        set_enabled(false);
+        // Inside: root span path, no label.
+        assert!(snap.spans.contains_key("t.dt.inner"));
+        assert!(!snap
+            .spans
+            .keys()
+            .any(|k| k.contains("t.dt.outer/t.dt.inner")));
+        assert_eq!(snap.counters["t.dt.inside"], 1);
+        assert!(!snap.counters.contains_key("t.dt.inside{shard=1}"));
+        // After: the enclosing scope and span path are back.
+        assert_eq!(snap.counters["t.dt.after{shard=1}"], 1);
+        assert!(snap.spans.contains_key("t.dt.outer/t.dt.later"));
+        reset();
+    }
+
+    #[test]
+    fn trace_events_land_on_the_outermost_scope_track() {
+        let _x = exclusive();
+        set_enabled(true);
+        trace::set_enabled(true);
+        reset();
+        // One thread works for two shards in turn, as a pooled worker does.
+        std::thread::Builder::new()
+            .name("t-tracks".into())
+            .spawn(|| {
+                let _unscoped = span!("t.tk.idle");
+                drop(_unscoped);
+                for shard in [0, 2] {
+                    let _scope = scoped(&[("shard", shard)]);
+                    let _work = span!("t.tk.work");
+                    let _inner = scoped(&[("worker", 1)]);
+                    trace::instant("t.tk.tick");
+                }
+            })
+            .unwrap()
+            .join()
+            .unwrap();
+        let json = trace::export_chrome_json();
+        trace::set_enabled(false);
+        set_enabled(false);
+        let v = JsonValue::parse(&json).expect("valid trace JSON");
+        let events = v.get("traceEvents").and_then(JsonValue::as_array).unwrap();
+        let mut tracks: Vec<&str> = events
+            .iter()
+            .filter(|e| e.get("name").and_then(JsonValue::as_str) == Some("thread_name"))
+            .filter_map(|e| e.get("args")?.get("name")?.as_str())
+            .collect();
+        tracks.sort_unstable();
+        assert_eq!(tracks, ["shard=0", "shard=2", "t-tracks"]);
+        assert_eq!(
+            v.get("otherData")
+                .and_then(|o| o.get("threads"))
+                .and_then(JsonValue::as_f64),
+            Some(1.0)
+        );
+        reset();
     }
 
     #[test]

@@ -16,10 +16,10 @@
 //! # surfos_obs::reset();
 //! ```
 //!
-//! Worker threads start their own root: a span opened inside a
-//! `channel::par` closure nests under whatever that worker has open (nothing),
-//! not under the caller's path. Batch entry points therefore open their span
-//! on the caller thread, around the fan-out.
+//! Fan-out chunks start their own root: a span opened inside a
+//! `channel::par` chunk nests under nothing, not under the caller's path,
+//! whichever thread runs the chunk ([`crate::detached`]). Batch entry points
+//! therefore open their span on the caller thread, around the fan-out.
 
 use std::cell::RefCell;
 use std::time::Instant;
@@ -28,6 +28,17 @@ use crate::registry;
 
 thread_local! {
     static SPAN_PATH: RefCell<String> = const { RefCell::new(String::new()) };
+}
+
+/// Empties the calling thread's span path (as on a fresh thread) and
+/// returns it for [`restore_path`].
+pub(crate) fn take_path() -> String {
+    SPAN_PATH.with(|p| std::mem::take(&mut *p.borrow_mut()))
+}
+
+/// Reinstates a path saved by [`take_path`].
+pub(crate) fn restore_path(path: String) {
+    SPAN_PATH.with(|p| *p.borrow_mut() = path);
 }
 
 /// Guard returned by [`crate::span!`] / [`crate::span_enter`]. Records the

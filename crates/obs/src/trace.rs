@@ -16,11 +16,17 @@
 //! [`set_enabled`]`(true)` hold; the disabled path stays the one relaxed
 //! atomic load the whole crate is built around.
 //!
-//! [`export_chrome_json`] groups rings by track label (worker threads get
-//! `shard=N`-style labels from [`crate::scoped`]; unlabeled threads get
-//! `thread-K`), merges same-label rings in timestamp order, and emits a
-//! `chrome://tracing` / Perfetto-loadable document with one named track
-//! per label.
+//! Each event carries the track it belongs to: the outermost label scope
+//! open when it was recorded ([`crate::scoped`], e.g. `shard=N`), or the
+//! thread's own name (`thread-K` when unnamed) outside any scope. A pooled
+//! worker that runs shard 0 in one tick and shard 2 in the next therefore
+//! files each shard's events under that shard's track.
+//! [`export_chrome_json`] groups events by track, merges them in
+//! timestamp order, and emits a `chrome://tracing` / Perfetto-loadable
+//! document with one named track per label. Rings live as long as the
+//! process, so the number of threads that ever record bounds trace memory
+//! (`RING_CAP` events each); the export reports that number as
+//! `otherData.threads`.
 
 use std::cell::{RefCell, UnsafeCell};
 use std::fmt::Write as _;
@@ -72,6 +78,8 @@ struct Ev {
     kind: Kind,
     name: &'static str,
     ts_ns: u64,
+    /// Interned label id of the track (0 = the ring's own label).
+    track: u32,
 }
 
 /// One thread's event ring. SPSC discipline: only the owning thread calls
@@ -82,18 +90,14 @@ struct Ring {
     head: AtomicUsize,
     tail: AtomicUsize,
     dropped: AtomicU64,
-    label: Mutex<String>,
-    /// Set once the track has been named by a label scope; later scopes on
-    /// the same thread don't rename it (first label wins, so a shard
-    /// worker's track stays `shard=N` even when bookkeeping scopes open
-    /// afterwards).
-    named: AtomicBool,
+    /// Track name for events recorded outside any label scope.
+    label: String,
 }
 
 // SAFETY: slots between `tail` and `head` are never written concurrently
 // with a read — the producer only writes at `head` (unpublished until the
 // release store) and the consumer only reads below `head` after acquiring
-// it. The label mutex guards itself.
+// it. The label is immutable.
 unsafe impl Sync for Ring {}
 unsafe impl Send for Ring {}
 
@@ -103,14 +107,14 @@ impl Ring {
             kind: Kind::Instant,
             name: "",
             ts_ns: 0,
+            track: 0,
         };
         Ring {
             buf: (0..RING_CAP).map(|_| UnsafeCell::new(init)).collect(),
             head: AtomicUsize::new(0),
             tail: AtomicUsize::new(0),
             dropped: AtomicU64::new(0),
-            label: Mutex::new(label),
-            named: AtomicBool::new(false),
+            label,
         }
     }
 
@@ -181,6 +185,7 @@ pub(crate) fn span_begin(name: &'static str) -> bool {
             kind: Kind::Begin,
             name,
             ts_ns: now_ns(),
+            track: crate::labels::track(),
         })
     })
 }
@@ -196,6 +201,7 @@ pub(crate) fn span_end(name: &'static str) {
             kind: Kind::End,
             name,
             ts_ns: now_ns(),
+            track: crate::labels::track(),
         })
     });
 }
@@ -209,21 +215,10 @@ pub fn instant(name: &'static str) {
                 kind: Kind::Instant,
                 name,
                 ts_ns: now_ns(),
+                track: crate::labels::track(),
             })
         });
     }
-}
-
-/// Names the current thread's track after a label scope (so a shard
-/// worker's track shows up as `shard=3` rather than `thread-7`). Only the
-/// first label scope on a thread names its track.
-pub(crate) fn label_current_thread(label: &str) {
-    with_ring(|r| {
-        if !r.named.swap(true, Ordering::Relaxed) {
-            let mut l = r.label.lock().unwrap_or_else(|e| e.into_inner());
-            label.clone_into(&mut l);
-        }
-    });
 }
 
 /// Total events dropped to full rings so far.
@@ -256,10 +251,12 @@ fn escape_into(out: &mut String, s: &str) {
 }
 
 /// Drains every ring and renders a Chrome Trace Event Format document
-/// (`chrome://tracing` / Perfetto). Rings sharing a track label merge into
+/// (`chrome://tracing` / Perfetto). Events sharing a track label merge into
 /// one track, in timestamp order; each track gets a `thread_name` metadata
 /// event. Unterminated spans (still open at export time) are closed at the
-/// track's last timestamp so B/E pairs always balance.
+/// track's last timestamp so B/E pairs always balance. `otherData` carries
+/// the dropped-event count and `threads`, the number of thread rings that
+/// had events to export.
 pub fn export_chrome_json() -> String {
     struct Track {
         events: Vec<Ev>,
@@ -267,18 +264,32 @@ pub fn export_chrome_json() -> String {
     }
     let mut tracks: Vec<(String, Track)> = Vec::new();
     let mut dropped = 0u64;
+    let mut threads = 0usize;
+    let bodies = crate::labels::all_bodies();
     for ring in lock_rings().iter() {
         let events = ring.drain();
         dropped += ring.dropped.load(Ordering::Relaxed);
         if events.is_empty() {
             continue;
         }
-        let label = ring.label.lock().unwrap_or_else(|e| e.into_inner()).clone();
-        match tracks.iter_mut().find(|(l, _)| *l == label) {
-            Some((_, t)) => t.events.extend(events),
-            None => {
-                let ord = tracks.len();
-                tracks.push((label, Track { events, ord }));
+        threads += 1;
+        for ev in events {
+            let label = match ev.track {
+                0 => ring.label.as_str(),
+                id => bodies.get(id as usize - 1).map_or("", String::as_str),
+            };
+            match tracks.iter_mut().find(|(l, _)| l == label) {
+                Some((_, t)) => t.events.push(ev),
+                None => {
+                    let ord = tracks.len();
+                    tracks.push((
+                        label.to_owned(),
+                        Track {
+                            events: vec![ev],
+                            ord,
+                        },
+                    ));
+                }
             }
         }
     }
@@ -348,7 +359,7 @@ pub fn export_chrome_json() -> String {
     }
     let _ = write!(
         out,
-        "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped\":{dropped}}}}}"
+        "],\"displayTimeUnit\":\"ms\",\"otherData\":{{\"dropped\":{dropped},\"threads\":{threads}}}}}"
     );
     out
 }

@@ -226,10 +226,11 @@ impl LocalizationObjective {
         }
     }
 
-    /// Per-probe cross-entropy losses.
+    /// Per-probe cross-entropy losses, in probe order (probes fan out
+    /// over the worker pool).
     pub fn losses(&self, responses: &[Vec<Complex>]) -> Vec<f64> {
         let r = &responses[self.surface];
-        self.probes.iter().map(|p| p.loss(r)).collect()
+        par::par_map(&self.probes, |p| p.loss(r))
     }
 }
 
@@ -240,11 +241,13 @@ impl Objective for LocalizationObjective {
     }
 
     fn grad_phase(&self, responses: &[Vec<Complex>]) -> Vec<Vec<f64>> {
-        let mut grads = zero_grads(responses);
+        // Per-probe gradients fan out; accumulated serially in probe order.
         let r = &responses[self.surface];
+        let per_probe = par::par_map(&self.probes, |p| p.grad_phase(r));
+        let mut grads = zero_grads(responses);
         let n = self.probes.len() as f64;
-        for p in &self.probes {
-            for (g, d) in grads[self.surface].iter_mut().zip(p.grad_phase(r)) {
+        for dp in per_probe {
+            for (g, d) in grads[self.surface].iter_mut().zip(dp) {
                 *g += d / n;
             }
         }
@@ -435,31 +438,18 @@ impl MultiObjective {
 }
 
 impl Objective for MultiObjective {
+    // Terms run in order on the calling thread; each term fans out its own
+    // inner loop (links, probes) over the worker pool when it is big
+    // enough to pay for it, so a joint objective keeps every core on one
+    // term at a time and a handful of single-link terms costs no hand-off.
     fn loss(&self, responses: &[Vec<Complex>]) -> f64 {
-        // One worker per term: joint tasks (e.g. Figure 5's coverage +
-        // localization) score concurrently. The generic heuristic would
-        // serialize a 2-term list, so the thread count is pinned. Results
-        // come back in term order; the sum is the serial association.
-        let losses = par::par_map_with_threads(
-            &self.terms,
-            self.terms.len(),
-            || (),
-            |(), (o, w)| w * o.loss(responses),
-        );
-        losses.iter().sum()
+        self.terms.iter().map(|(o, w)| w * o.loss(responses)).sum()
     }
 
     fn grad_phase(&self, responses: &[Vec<Complex>]) -> Vec<Vec<f64>> {
-        // Per-term gradients concurrently, accumulated serially in term
-        // order — bit-identical to the sequential loop.
-        let grads = par::par_map_with_threads(
-            &self.terms,
-            self.terms.len(),
-            || (),
-            |(), (o, w)| (o.grad_phase(responses), *w),
-        );
         let mut total = zero_grads(responses);
-        for (g, w) in grads {
+        for (o, w) in &self.terms {
+            let g = o.grad_phase(responses);
             for (ts, gs) in total.iter_mut().zip(g) {
                 for (t, gi) in ts.iter_mut().zip(gs) {
                     *t += w * gi;
@@ -694,28 +684,69 @@ mod tests {
     #[test]
     fn multiobjective_parallel_terms_match_serial_sum() {
         let (sim, ap, client) = setup();
-        let cov = CoverageObjective::new(&sim, &ap, &grid_points(), &client);
+        // Enough points and probes that each term fans out at N workers.
+        let points: Vec<Vec3> = (0..20)
+            .map(|i| Vec3::new(4.0 + 0.5 * (i % 5) as f64, 2.0 + 0.4 * (i / 5) as f64, 1.2))
+            .collect();
+        let cov = CoverageObjective::new(&sim, &ap, &points, &client);
         let pow = PoweringObjective::new(&sim, &ap, &client);
+        let loc =
+            LocalizationObjective::new(&sim, 0, &ap, &client, &points, AngleGrid::uniform(15, 1.2));
+        assert!(
+            loc.probes.len() >= 8,
+            "localization term too small to fan out"
+        );
         let responses: Vec<Vec<Complex>> =
             vec![(0..64).map(|i| Complex::cis(i as f64 * 0.21)).collect()];
-        let serial = 2.0 * cov.loss(&responses) + 0.5 * pow.loss(&responses);
-        let serial_grad = {
-            let mut total = zero_grads(&responses);
-            for (o, w) in [(&cov as &dyn Objective, 2.0), (&pow as &dyn Objective, 0.5)] {
-                for (ts, gs) in total.iter_mut().zip(o.grad_phase(&responses)) {
-                    for (t, gi) in ts.iter_mut().zip(gs) {
-                        *t += w * gi;
-                    }
+        let bits = |g: &[Vec<f64>]| -> Vec<Vec<u64>> {
+            g.iter()
+                .map(|v| v.iter().map(|x| x.to_bits()).collect())
+                .collect()
+        };
+        // Localization's probe fan-out against an explicit serial loop over
+        // its probes, accumulated in probe order.
+        let r = &responses[loc.surface];
+        let n = loc.probes.len() as f64;
+        let serial_losses: Vec<f64> = loc.probes.iter().map(|p| p.loss(r)).collect();
+        assert_eq!(
+            bits(&[loc.losses(&responses)]),
+            bits(std::slice::from_ref(&serial_losses))
+        );
+        assert_eq!(
+            loc.loss(&responses).to_bits(),
+            (serial_losses.iter().sum::<f64>() / n).to_bits()
+        );
+        let mut serial_loc_grad = zero_grads(&responses);
+        for p in &loc.probes {
+            for (g, d) in serial_loc_grad[loc.surface].iter_mut().zip(p.grad_phase(r)) {
+                *g += d / n;
+            }
+        }
+        assert_eq!(bits(&loc.grad_phase(&responses)), bits(&serial_loc_grad));
+        // The joint objective against its terms summed in term order. Each
+        // term's own fan-out is bit-identical to serial at any worker count
+        // (`par` tests); scripts/lint.sh also runs this crate with
+        // SURFOS_THREADS=1, so both the pooled and the serial path pass here.
+        let terms = [
+            (&cov as &dyn Objective, 2.0),
+            (&pow as &dyn Objective, 0.5),
+            (&loc as &dyn Objective, 1.5),
+        ];
+        let serial: f64 = terms.iter().map(|(o, w)| w * o.loss(&responses)).sum();
+        let mut serial_grad = zero_grads(&responses);
+        for (o, w) in terms {
+            for (ts, gs) in serial_grad.iter_mut().zip(o.grad_phase(&responses)) {
+                for (t, gi) in ts.iter_mut().zip(gs) {
+                    *t += w * gi;
                 }
             }
-            total
-        };
+        }
         let multi = MultiObjective::new()
             .with(Box::new(cov), 2.0)
-            .with(Box::new(pow), 0.5);
-        // Concurrent term evaluation is bit-identical to the serial loop.
-        assert_eq!(multi.loss(&responses), serial);
-        assert_eq!(multi.grad_phase(&responses), serial_grad);
+            .with(Box::new(pow), 0.5)
+            .with(Box::new(loc), 1.5);
+        assert_eq!(multi.loss(&responses).to_bits(), serial.to_bits());
+        assert_eq!(bits(&multi.grad_phase(&responses)), bits(&serial_grad));
     }
 
     #[test]

@@ -29,6 +29,9 @@ const GRID_HEIGHT_M: f64 = 1.2;
 /// Inset from walls for room grids (metres).
 const GRID_MARGIN_M: f64 = 0.4;
 
+/// Why a request that needs an access point cannot be served.
+const NO_AP: &str = "no access point registered";
+
 /// The central control plane.
 pub struct Orchestrator {
     /// The environment + surface model.
@@ -118,9 +121,19 @@ impl Orchestrator {
     ///
     /// # Panics
     /// Panics when no AP has been registered — every service needs one.
+    /// Front ends that take requests use [`try_ap`](Self::try_ap).
     pub fn ap(&self) -> &Endpoint {
-        let id = self.ap_id.as_ref().expect("no access point registered");
-        &self.endpoints[id]
+        self.try_ap().expect(NO_AP)
+    }
+
+    /// The serving access point, or the "no access point registered" error
+    /// text front ends answer with (the same text as
+    /// [`admission_error`](Self::admission_error)).
+    pub fn try_ap(&self) -> Result<&Endpoint, &'static str> {
+        self.ap_id
+            .as_ref()
+            .map(|id| &self.endpoints[id])
+            .ok_or(NO_AP)
     }
 
     // --- Service API (paper §3.2 / Figure 6) ---------------------------
@@ -161,7 +174,7 @@ impl Orchestrator {
         } else if self.slots_per_frame == 0 {
             Some("scheduler frame has zero slots")
         } else if self.ap_id.is_none() {
-            Some("no access point registered")
+            Some(NO_AP)
         } else {
             None
         }

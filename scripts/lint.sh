@@ -46,6 +46,17 @@ done
 # so a pass that depends on a sibling test having run first cannot hide.
 cargo test -q -p surfos --test observability -- --exact identical_runs_yield_identical_deterministic_metrics
 
+# Pool gate: the fan-out pool's robustness tests (a chunk panic on the
+# caller and on a worker reaches the caller, the pool keeps fanning out
+# afterwards, concurrent callers get serial bits, nested fan-out completes)
+# with SURFOS_THREADS=3, so the pool has at least two workers on any host.
+SURFOS_THREADS=3 cargo test -q -p surfos-channel --lib par::tests
+
+# Serial-objective gate: the orchestrator's objectives (the joint
+# MultiObjective, localization's probe fan-out) with the pool forced serial,
+# so the one-worker path is checked beside the default pooled run.
+SURFOS_THREADS=1 cargo test -q -p surfos-orchestrator
+
 # Shard-equivalence gate: the sharded kernel must stay bit-identical to a
 # flat single-scene evaluation even with the worker pool forced serial, so
 # a result that silently depends on thread count cannot land.
@@ -95,4 +106,4 @@ SURFOS_METRICS_CHECK="$metrics_tmp" \
 # via #![warn(missing_docs)]) fail the build, not just warn.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
+echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
