@@ -16,17 +16,22 @@ fn coverage_objective(n: usize) -> CoverageObjective {
     CoverageObjective::new(&lab.sim, &lab.ap, &lab.grid, &lab.probe)
 }
 
+/// The loss alone (what random search and greedy descent pay per
+/// candidate) and the fused loss + gradient (what one Adam step pays).
+/// 128×128 is where a pass over the links' coefficients leaves the caches.
 fn bench_loss_and_gradient(c: &mut Criterion) {
     let mut group = c.benchmark_group("optimizer/loss_grad");
-    for n in [8usize, 16, 32] {
+    for n in [8usize, 16, 32, 128] {
         let obj = coverage_objective(n);
         let responses: Vec<Vec<surfos::em::complex::Complex>> =
             vec![vec![surfos::em::complex::Complex::ONE; n * n]];
-        group.bench_function(format!("loss_{n}x{n}"), |b| {
-            b.iter(|| black_box(obj.loss(black_box(&responses))))
-        });
-        group.bench_function(format!("grad_{n}x{n}"), |b| {
-            b.iter(|| black_box(obj.grad_phase(black_box(&responses))))
+        if n <= 32 {
+            group.bench_function(format!("loss_{n}x{n}"), |b| {
+                b.iter(|| black_box(obj.loss(black_box(&responses))))
+            });
+        }
+        group.bench_function(format!("fused_{n}x{n}"), |b| {
+            b.iter(|| black_box(obj.loss_and_grad(black_box(&responses))))
         });
     }
     group.finish();

@@ -40,8 +40,8 @@ fn bench_loss_gradient(c: &mut Criterion) {
     group.bench_function("loss_16x16_41bins", |b| {
         b.iter(|| black_box(lin.loss(black_box(&r))))
     });
-    group.bench_function("grad_16x16_41bins", |b| {
-        b.iter(|| black_box(lin.grad_phase(black_box(&r))))
+    group.bench_function("fused_16x16_41bins", |b| {
+        b.iter(|| black_box(lin.loss_and_grad(black_box(&r))))
     });
     group.finish();
 }

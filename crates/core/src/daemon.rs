@@ -26,6 +26,12 @@
 //! [`SurfOS::step`] so registered services actually get scheduled and
 //! optimized while the daemon serves.
 //!
+//! A panic costs one request, not the daemon: each dispatch runs under
+//! `catch_unwind` and answers `Error` (counted in `rpc.panics`), a
+//! panicking heartbeat skips that tick (`daemon.tick_panics`), and the
+//! kernel lock is taken through `lock_state`, which recovers a poisoned
+//! guard instead of panicking every later worker.
+//!
 //! # Tenancy
 //!
 //! Every connection gets a tenant id: `conn-N` by default, or the name
@@ -41,9 +47,10 @@ use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use surfos_broker::registry::TenantRegistry;
 use surfos_obs as obs;
@@ -439,7 +446,13 @@ impl Server {
                                 break;
                             }
                             let _span = obs::span!("daemon.tick");
-                            state.lock().expect("state lock").kernel_mut().step(dt);
+                            let mut st = lock_state(&state);
+                            let step = panic::catch_unwind(AssertUnwindSafe(|| {
+                                st.kernel_mut().step(dt);
+                            }));
+                            if step.is_err() {
+                                obs::add("daemon.tick_panics", 1);
+                            }
                         }
                     })
                     .expect("spawn ticker"),
@@ -589,7 +602,7 @@ fn worker_loop(
             live.fetch_sub(before - sessions.len(), Ordering::Relaxed);
             obs::add("rpc.conns.closed", (before - sessions.len()) as u64);
             obs::gauge("rpc.conns.live", live.load(Ordering::Relaxed) as f64);
-            let mut st = state.lock().expect("state lock");
+            let mut st = lock_state(state);
             for (tenant, auto) in dead {
                 if auto {
                     st.teardown(&tenant);
@@ -667,6 +680,14 @@ fn sweep_session(s: &mut Session, state: &Mutex<Dispatcher>, scratch: &mut [u8])
     moved
 }
 
+/// The kernel lock. A poisoned lock is recovered, not propagated: a
+/// dispatch or heartbeat panic is caught while the guard is held, so only
+/// a panic elsewhere under the lock (a disconnect teardown) can poison it,
+/// and one such panic must not take every later request down with it.
+fn lock_state(state: &Mutex<Dispatcher>) -> MutexGuard<'_, Dispatcher> {
+    state.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
 /// Decodes one frame body, binds the session tenant, dispatches, queues
 /// the response.
 fn serve_frame(s: &mut Session, state: &Mutex<Dispatcher>, body: &str) {
@@ -680,11 +701,17 @@ fn serve_frame(s: &mut Session, state: &Mutex<Dispatcher>, body: &str) {
                 }
                 s.bound = true;
             }
-            let response = state
-                .lock()
-                .expect("state lock")
-                .dispatch(&s.tenant, &env.request);
-            (env.id, env.request.op(), response)
+            let op = env.request.op();
+            let mut st = lock_state(state);
+            let response =
+                panic::catch_unwind(AssertUnwindSafe(|| st.dispatch(&s.tenant, &env.request)))
+                    .unwrap_or_else(|_| {
+                        obs::add("rpc.panics", 1);
+                        Response::Error {
+                            message: format!("internal error serving `{op}`"),
+                        }
+                    });
+            (env.id, op, response)
         }
         Err(ProtoError(message)) => (0, "invalid", Response::Error { message }),
     };
@@ -718,6 +745,47 @@ mod tests {
             ..ServeOptions::default()
         };
         Dispatcher::new(kernel(), &opts)
+    }
+
+    #[test]
+    fn poisoned_state_lock_still_serves() {
+        let state = Mutex::new(dispatcher(8, 4));
+        let poisoner = std::thread::scope(|scope| {
+            scope
+                .spawn(|| {
+                    let _guard = state.lock().expect("fresh lock");
+                    panic!("poison the kernel lock");
+                })
+                .join()
+        });
+        assert!(poisoner.is_err() && state.is_poisoned());
+
+        let (ours, _peer) = UnixStream::pair().expect("socket pair");
+        let mut session = Session::new(Conn::Unix(ours), 1);
+        for (id, request) in [
+            (1, Request::Ping),
+            (
+                2,
+                Request::QueryChannel {
+                    tx: "ap0".into(),
+                    rx: "laptop".into(),
+                },
+            ),
+        ] {
+            serve_frame(
+                &mut session,
+                &state,
+                &RequestEnvelope::new(id, request).encode(),
+            );
+        }
+        let mut frames = FrameBuf::new();
+        frames.extend(&session.outbuf);
+        let mut answer = || {
+            let body = frames.next_frame().expect("framing").expect("a frame");
+            Response::decode(&body).expect("response decodes")
+        };
+        assert!(matches!(answer(), (1, Response::Pong { .. })));
+        assert!(matches!(answer(), (2, Response::Channel { .. })));
     }
 
     #[test]

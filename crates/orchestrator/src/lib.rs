@@ -27,6 +27,8 @@
 pub mod objective;
 pub mod optimizer;
 pub mod orchestrator;
+#[cfg(test)]
+mod reference;
 pub mod scheduler;
 pub mod service;
 pub mod slice;

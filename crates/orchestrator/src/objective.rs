@@ -2,7 +2,8 @@
 //!
 //! Each objective scores a full multi-surface configuration (one complex
 //! response vector per deployed surface) and provides the analytic
-//! gradient of its loss with respect to every element phase. The paper's
+//! gradient of its loss with respect to every element phase, computed in
+//! the same pass as the loss ([`Objective::loss_and_grad`]). The paper's
 //! joint multitasking (§3.2, Figure 5) is a weighted sum of these
 //! ([`MultiObjective`]), minimized by [`crate::optimizer`].
 //!
@@ -12,7 +13,7 @@
 //! - powering: negative log delivered power,
 //! - suppression (security): positive log leaked power.
 
-use surfos_channel::linear::Linearization;
+use surfos_channel::linear::{add_power_grad, Linearization, LinkGain};
 use surfos_channel::par;
 use surfos_channel::trace::ChannelTrace;
 use surfos_channel::{ChannelSim, Endpoint};
@@ -32,9 +33,11 @@ pub trait Objective: Send + Sync {
     /// The loss at the given per-surface responses.
     fn loss(&self, responses: &[Vec<Complex>]) -> f64;
 
-    /// `∂loss/∂φ` for every element of every surface (same shape as
-    /// `responses`), assuming elements keep their current magnitudes.
-    fn grad_phase(&self, responses: &[Vec<Complex>]) -> Vec<Vec<f64>>;
+    /// The loss (bit-identical to [`loss`](Self::loss)) and `∂loss/∂φ` for
+    /// every element of every surface (same shape as `responses`),
+    /// assuming elements keep their current magnitudes — one pass over the
+    /// channels, one Adam step.
+    fn loss_and_grad(&self, responses: &[Vec<Complex>]) -> (f64, Vec<Vec<f64>>);
 }
 
 fn as_slices(responses: &[Vec<Complex>]) -> Vec<&[Complex]> {
@@ -43,6 +46,35 @@ fn as_slices(responses: &[Vec<Complex>]) -> Vec<&[Complex]> {
 
 fn zero_grads(responses: &[Vec<Complex>]) -> Vec<Vec<f64>> {
     responses.iter().map(|r| vec![0.0; r.len()]).collect()
+}
+
+/// Elements per gradient chunk: small enough that a 32×32 surface still
+/// fans out over the pool (8 chunks), big enough that a chunk's per-link
+/// work dwarfs claiming it, and its scratch stays in L1.
+const GRAD_CHUNK: usize = 128;
+
+/// `Σ_l factor_l · ∂|h_l|²/∂φ` for every element of every surface: the
+/// gradient pass of the power-based objectives, after the link pass has
+/// evaluated each `gain`. Fans out over element chunks; each element sums
+/// its links in link order ([`add_power_grad`]), so the result has the
+/// bits of a serial link-order accumulation at any worker count.
+fn power_grad(
+    responses: &[Vec<Complex>],
+    links: &[(&Linearization, &LinkGain, f64)],
+) -> Vec<Vec<f64>> {
+    let mut grads = zero_grads(responses);
+    let mut chunks: Vec<(usize, usize, &mut [f64])> = Vec::new();
+    for (s, grad) in grads.iter_mut().enumerate() {
+        for (c, chunk) in grad.chunks_mut(GRAD_CHUNK).enumerate() {
+            chunks.push((s, c * GRAD_CHUNK, chunk));
+        }
+    }
+    let threads = par::thread_count(chunks.len());
+    par::par_map_mut_with_threads(&mut chunks, threads, |(s, start, grad)| {
+        let response = &responses[*s][*start..*start + grad.len()];
+        add_power_grad(links, *s, *start, response, grad);
+    });
+    grads
 }
 
 /// `P_tx / N` in linear units at `band`: multiplying `|h|²` yields SNR.
@@ -131,39 +163,25 @@ impl Objective for CoverageObjective {
         -terms.iter().sum::<f64>()
     }
 
-    fn grad_phase(&self, responses: &[Vec<Complex>]) -> Vec<Vec<f64>> {
+    fn loss_and_grad(&self, responses: &[Vec<Complex>]) -> (f64, Vec<Vec<f64>>) {
         let slices = as_slices(responses);
         let ln2 = std::f64::consts::LN_2;
-        let n_surfaces = responses.len();
-        // Per-link factor and gradients in parallel …
-        let contribs = par::par_map(&self.links, |l| {
-            let snr = l.evaluate(&slices).norm_sqr() * self.snr_scale;
+        // Link pass: each link's gain, loss term and chain factor …
+        let evals = par::par_map(&self.links, |l| {
+            let gain = l.gain(&slices);
+            let snr = gain.h.norm_sqr() * self.snr_scale;
             let factor = -self.snr_scale / ((1.0 + snr) * ln2);
-            let dps: Vec<Option<Vec<f64>>> = (0..n_surfaces)
-                .map(|s| {
-                    if l.linear.iter().any(|t| t.surface == s)
-                        || l.bilinear.iter().any(|b| b.first == s || b.second == s)
-                    {
-                        Some(l.grad_power_wrt_phase(s, &slices))
-                    } else {
-                        None
-                    }
-                })
-                .collect();
-            (factor, dps)
+            ((1.0 + snr).log2(), gain, factor)
         });
-        // … accumulated serially in link order: bit-identical to serial.
-        let mut grads = zero_grads(responses);
-        for (factor, dps) in contribs {
-            for (grad_s, dp) in grads.iter_mut().zip(dps) {
-                if let Some(dp) = dp {
-                    for (g, d) in grad_s.iter_mut().zip(dp) {
-                        *g += factor * d;
-                    }
-                }
-            }
-        }
-        grads
+        let loss = -evals.iter().map(|(term, _, _)| term).sum::<f64>();
+        // … then the element pass, per element in link order.
+        let links: Vec<_> = self
+            .links
+            .iter()
+            .zip(&evals)
+            .map(|(l, (_, gain, factor))| (l, gain, *factor))
+            .collect();
+        (loss, power_grad(responses, &links))
     }
 }
 
@@ -240,18 +258,19 @@ impl Objective for LocalizationObjective {
         l.iter().sum::<f64>() / l.len() as f64
     }
 
-    fn grad_phase(&self, responses: &[Vec<Complex>]) -> Vec<Vec<f64>> {
-        // Per-probe gradients fan out; accumulated serially in probe order.
+    fn loss_and_grad(&self, responses: &[Vec<Complex>]) -> (f64, Vec<Vec<f64>>) {
+        // Probes fan out; losses and gradients are summed in probe order.
         let r = &responses[self.surface];
-        let per_probe = par::par_map(&self.probes, |p| p.grad_phase(r));
-        let mut grads = zero_grads(responses);
+        let per_probe = par::par_map(&self.probes, |p| p.loss_and_grad(r));
         let n = self.probes.len() as f64;
-        for dp in per_probe {
+        let loss = per_probe.iter().map(|(l, _)| l).sum::<f64>() / n;
+        let mut grads = zero_grads(responses);
+        for (_, dp) in &per_probe {
             for (g, d) in grads[self.surface].iter_mut().zip(dp) {
                 *g += d / n;
             }
         }
-        grads
+        (loss, grads)
     }
 }
 
@@ -295,18 +314,12 @@ impl Objective for PoweringObjective {
         -(p + POWER_EPS).ln()
     }
 
-    fn grad_phase(&self, responses: &[Vec<Complex>]) -> Vec<Vec<f64>> {
-        let slices = as_slices(responses);
-        let p = self.link.evaluate(&slices).norm_sqr();
+    fn loss_and_grad(&self, responses: &[Vec<Complex>]) -> (f64, Vec<Vec<f64>>) {
+        let gain = self.link.gain(&as_slices(responses));
+        let p = gain.h.norm_sqr();
         let factor = -1.0 / (p + POWER_EPS);
-        let mut grads = zero_grads(responses);
-        for (s, grad_s) in grads.iter_mut().enumerate() {
-            let dp = self.link.grad_power_wrt_phase(s, &slices);
-            for (g, d) in grad_s.iter_mut().zip(dp) {
-                *g += factor * d;
-            }
-        }
-        grads
+        let grads = power_grad(responses, &[(&self.link, &gain, factor)]);
+        (-(p + POWER_EPS).ln(), grads)
     }
 }
 
@@ -374,29 +387,28 @@ impl Objective for SuppressionObjective {
         terms.iter().sum()
     }
 
-    fn grad_phase(&self, responses: &[Vec<Complex>]) -> Vec<Vec<f64>> {
+    fn loss_and_grad(&self, responses: &[Vec<Complex>]) -> (f64, Vec<Vec<f64>>) {
         let slices = as_slices(responses);
-        let n_surfaces = responses.len();
-        let contribs = par::par_map(&self.leaks, |l| {
-            let p = l.evaluate(&slices).norm_sqr();
-            if p <= self.floor {
-                return None; // saturated: goal met at this point
-            }
-            let factor = 1.0 / (p + POWER_EPS);
-            let dps: Vec<Vec<f64>> = (0..n_surfaces)
-                .map(|s| l.grad_power_wrt_phase(s, &slices))
-                .collect();
-            Some((factor, dps))
+        let evals = par::par_map(&self.leaks, |l| {
+            let gain = l.gain(&slices);
+            let p = gain.h.norm_sqr();
+            let term = (p.max(self.floor) + POWER_EPS).ln();
+            // Saturated (goal met at this point): no gradient.
+            let factor = if p <= self.floor {
+                None
+            } else {
+                Some(1.0 / (p + POWER_EPS))
+            };
+            (term, gain, factor)
         });
-        let mut grads = zero_grads(responses);
-        for (factor, dps) in contribs.into_iter().flatten() {
-            for (grad_s, dp) in grads.iter_mut().zip(dps) {
-                for (g, d) in grad_s.iter_mut().zip(dp) {
-                    *g += factor * d;
-                }
-            }
-        }
-        grads
+        let loss = evals.iter().map(|(term, _, _)| term).sum();
+        let links: Vec<_> = self
+            .leaks
+            .iter()
+            .zip(&evals)
+            .filter_map(|(l, (_, gain, factor))| Some((l, gain, (*factor)?)))
+            .collect();
+        (loss, power_grad(responses, &links))
     }
 }
 
@@ -446,23 +458,26 @@ impl Objective for MultiObjective {
         self.terms.iter().map(|(o, w)| w * o.loss(responses)).sum()
     }
 
-    fn grad_phase(&self, responses: &[Vec<Complex>]) -> Vec<Vec<f64>> {
+    fn loss_and_grad(&self, responses: &[Vec<Complex>]) -> (f64, Vec<Vec<f64>>) {
+        let mut losses = Vec::with_capacity(self.terms.len());
         let mut total = zero_grads(responses);
         for (o, w) in &self.terms {
-            let g = o.grad_phase(responses);
+            let (l, g) = o.loss_and_grad(responses);
+            losses.push(w * l);
             for (ts, gs) in total.iter_mut().zip(g) {
                 for (t, gi) in ts.iter_mut().zip(gs) {
                     *t += w * gi;
                 }
             }
         }
-        total
+        (losses.iter().sum(), total)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::reference;
     use surfos_channel::{OperationMode, SurfaceInstance};
     use surfos_em::antenna::ElementPattern;
     use surfos_em::array::ArrayGeometry;
@@ -499,7 +514,7 @@ mod tests {
     }
 
     fn finite_diff_check(obj: &dyn Objective, responses: &[Vec<Complex>], elems: &[usize]) {
-        let grads = obj.grad_phase(responses);
+        let grads = obj.loss_and_grad(responses).1;
         let base = obj.loss(responses);
         let eps = 1e-6;
         for &e in elems {
@@ -528,7 +543,7 @@ mod tests {
         let (sim, ap, client) = setup();
         let obj = CoverageObjective::new(&sim, &ap, &grid_points(), &client);
         let responses: Vec<Vec<Complex>> = vec![vec![Complex::ONE; 64]];
-        let g = obj.grad_phase(&responses);
+        let g = obj.loss_and_grad(&responses).1;
         let step = 0.05;
         let stepped: Vec<Vec<Complex>> = vec![responses[0]
             .iter()
@@ -698,11 +713,6 @@ mod tests {
         );
         let responses: Vec<Vec<Complex>> =
             vec![(0..64).map(|i| Complex::cis(i as f64 * 0.21)).collect()];
-        let bits = |g: &[Vec<f64>]| -> Vec<Vec<u64>> {
-            g.iter()
-                .map(|v| v.iter().map(|x| x.to_bits()).collect())
-                .collect()
-        };
         // Localization's probe fan-out against an explicit serial loop over
         // its probes, accumulated in probe order.
         let r = &responses[loc.surface];
@@ -718,11 +728,16 @@ mod tests {
         );
         let mut serial_loc_grad = zero_grads(&responses);
         for p in &loc.probes {
-            for (g, d) in serial_loc_grad[loc.surface].iter_mut().zip(p.grad_phase(r)) {
+            for (g, d) in serial_loc_grad[loc.surface]
+                .iter_mut()
+                .zip(p.loss_and_grad(r).1)
+            {
                 *g += d / n;
             }
         }
-        assert_eq!(bits(&loc.grad_phase(&responses)), bits(&serial_loc_grad));
+        let (loc_loss, loc_grad) = loc.loss_and_grad(&responses);
+        assert_eq!(loc_loss.to_bits(), loc.loss(&responses).to_bits());
+        assert_eq!(bits(&loc_grad), bits(&serial_loc_grad));
         // The joint objective against its terms summed in term order. Each
         // term's own fan-out is bit-identical to serial at any worker count
         // (`par` tests); scripts/lint.sh also runs this crate with
@@ -735,7 +750,7 @@ mod tests {
         let serial: f64 = terms.iter().map(|(o, w)| w * o.loss(&responses)).sum();
         let mut serial_grad = zero_grads(&responses);
         for (o, w) in terms {
-            for (ts, gs) in serial_grad.iter_mut().zip(o.grad_phase(&responses)) {
+            for (ts, gs) in serial_grad.iter_mut().zip(o.loss_and_grad(&responses).1) {
                 for (t, gi) in ts.iter_mut().zip(gs) {
                     *t += w * gi;
                 }
@@ -746,7 +761,125 @@ mod tests {
             .with(Box::new(pow), 0.5)
             .with(Box::new(loc), 1.5);
         assert_eq!(multi.loss(&responses).to_bits(), serial.to_bits());
-        assert_eq!(bits(&multi.grad_phase(&responses)), bits(&serial_grad));
+        let (multi_loss, multi_grad) = multi.loss_and_grad(&responses);
+        assert_eq!(multi_loss.to_bits(), serial.to_bits());
+        assert_eq!(bits(&multi_grad), bits(&serial_grad));
+    }
+
+    fn bits(g: &[Vec<f64>]) -> Vec<Vec<u64>> {
+        g.iter()
+            .map(|v| v.iter().map(|x| x.to_bits()).collect())
+            .collect()
+    }
+
+    /// The fused pass against the two-pass reference: `loss_and_grad`'s
+    /// loss is `loss`, and its gradient is the link-by-link one, bit for
+    /// bit. `scripts/lint.sh` also runs the `fused_` tests with
+    /// `SURFOS_THREADS=3`, so chunks outnumber threads there.
+    fn assert_fused_matches(
+        obj: &dyn Objective,
+        responses: &[Vec<Complex>],
+        reference_grad: Vec<Vec<f64>>,
+    ) {
+        let (loss, grads) = obj.loss_and_grad(responses);
+        assert_eq!(loss.to_bits(), obj.loss(responses).to_bits());
+        assert_eq!(bits(&grads), bits(&reference_grad));
+        assert!(grads.iter().flatten().any(|g| *g != 0.0));
+    }
+
+    #[test]
+    fn fused_coverage_with_cascades_matches_two_pass() {
+        let (sim, ap, client, points) = reference::relay_lab();
+        let obj = CoverageObjective::new(&sim, &ap, &points, &client);
+        assert!(
+            obj.links
+                .iter()
+                .any(|l| l.bilinear.iter().any(|b| b.first == 0 && b.second == 1)
+                    && l.bilinear.iter().any(|b| b.first == 1 && b.second == 0)),
+            "the relay lab must have cascades both ways"
+        );
+        let responses = reference::responses(&sim);
+        assert_fused_matches(&obj, &responses, reference::coverage_grad(&obj, &responses));
+    }
+
+    #[test]
+    fn fused_suppression_with_saturated_points_matches_two_pass() {
+        let (sim, ap, client, points) = reference::relay_lab();
+        let mut obj = SuppressionObjective::new(&sim, &ap, &points, &client);
+        let responses = reference::responses(&sim);
+        let slices = as_slices(&responses);
+        let mut leaks: Vec<f64> = obj
+            .leaks
+            .iter()
+            .map(|l| l.evaluate(&slices).norm_sqr())
+            .collect();
+        leaks.sort_by(f64::total_cmp);
+        // Half the points sit under the floor: no gradient from them.
+        obj.floor = leaks[leaks.len() / 2];
+        assert!(leaks[0] < obj.floor && obj.floor < leaks[leaks.len() - 1]);
+        assert_fused_matches(
+            &obj,
+            &responses,
+            reference::suppression_grad(&obj, &responses),
+        );
+    }
+
+    #[test]
+    fn fused_powering_matches_two_pass() {
+        let (sim, ap, client, _) = reference::relay_lab();
+        let obj = PoweringObjective::new(&sim, &ap, &client);
+        let responses = reference::responses(&sim);
+        assert_fused_matches(&obj, &responses, reference::powering_grad(&obj, &responses));
+    }
+
+    #[test]
+    fn fused_localization_with_zero_energy_probe_matches_two_pass() {
+        let (sim, ap, client, points) = reference::relay_lab();
+        let mut obj =
+            LocalizationObjective::new(&sim, 1, &ap, &client, &points, AngleGrid::uniform(21, 1.2));
+        // A probe the surface delivers no energy to takes the
+        // uniform-spectrum branch of the loss.
+        obj.probes.push(AoaLinearization {
+            bin_weights: vec![vec![Complex::ZERO; 32 * 32]; 21],
+            true_bin: 4,
+        });
+        let responses = reference::responses(&sim);
+        let zero_energy = obj.probes.last().expect("pushed").loss(&responses[1]);
+        assert_eq!(zero_energy, -(1.0f64 / 21.0).ln());
+        assert_fused_matches(
+            &obj,
+            &responses,
+            reference::localization_grad(&obj, &responses),
+        );
+    }
+
+    #[test]
+    fn fused_multiobjective_matches_weighted_two_pass() {
+        let (sim, ap, client, points) = reference::relay_lab();
+        let cov = CoverageObjective::new(&sim, &ap, &points, &client);
+        let pow = PoweringObjective::new(&sim, &ap, &client);
+        let loc =
+            LocalizationObjective::new(&sim, 0, &ap, &client, &points, AngleGrid::uniform(15, 1.2));
+        let responses = reference::responses(&sim);
+        // The weighted sum of the terms' two-pass gradients, in term order.
+        let terms = [
+            (reference::coverage_grad(&cov, &responses), 1.0),
+            (reference::powering_grad(&pow, &responses), 0.25),
+            (reference::localization_grad(&loc, &responses), 3.5),
+        ];
+        let mut want = zero_grads(&responses);
+        for (g, w) in &terms {
+            for (ts, gs) in want.iter_mut().zip(g) {
+                for (t, gi) in ts.iter_mut().zip(gs) {
+                    *t += w * gi;
+                }
+            }
+        }
+        let multi = MultiObjective::new()
+            .with(Box::new(cov), 1.0)
+            .with(Box::new(pow), 0.25)
+            .with(Box::new(loc), 3.5);
+        assert_fused_matches(&multi, &responses, want);
     }
 
     #[test]

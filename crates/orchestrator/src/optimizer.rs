@@ -79,14 +79,42 @@ impl Tying {
         }
     }
 
-    /// Reduces per-element gradients to per-group gradients for surface `s`.
-    fn reduce(&self, s: usize, grad: &[f64]) -> Vec<f64> {
+    /// Writes surface `s`'s element responses for per-group phases
+    /// `params` into `out`: `cis` of [`expand`](Self::expand)'s phases, with
+    /// one `cis` per group.
+    fn respond(&self, s: usize, params: &[f64], out: &mut [Complex]) {
         match &self.groups[s] {
-            None => grad.to_vec(),
-            Some(groups) => groups
-                .iter()
-                .map(|g| g.iter().map(|&e| grad[e]).sum())
-                .collect(),
+            None => {
+                for (r, &phase) in out.iter_mut().zip(params) {
+                    *r = Complex::cis(phase);
+                }
+            }
+            Some(groups) => {
+                for (g, &phase) in groups.iter().zip(params) {
+                    let r = Complex::cis(phase);
+                    for &e in g {
+                        out[e] = r;
+                    }
+                }
+            }
+        }
+    }
+
+    /// Reduces per-element gradients to per-group gradients for surface
+    /// `s`: `grad` itself under element-wise control, else the group sums
+    /// written into `buf`.
+    fn reduce<'a>(&self, s: usize, grad: &'a [f64], buf: &'a mut Vec<f64>) -> &'a [f64] {
+        match &self.groups[s] {
+            None => grad,
+            Some(groups) => {
+                buf.clear();
+                buf.extend(
+                    groups
+                        .iter()
+                        .map(|g| g.iter().map(|&e| grad[e]).sum::<f64>()),
+                );
+                buf
+            }
         }
     }
 }
@@ -170,23 +198,26 @@ pub fn adam(
 
     let mut best_loss = f64::INFINITY;
     let mut best_params = params.clone();
+    // Reused across iterations: an element that no tied group covers keeps
+    // phase 0, as `Tying::expand` gives it.
+    let mut responses: Vec<Vec<Complex>> = n_elements
+        .iter()
+        .map(|&n| vec![Complex::cis(0.0); n])
+        .collect();
+    let mut reduced = Vec::new();
 
     for t in 1..=opts.iters {
         let _iter_span = surfos_obs::span!("orchestrator.adam.iter");
-        let element_phases: Vec<Vec<f64>> = params
-            .iter()
-            .enumerate()
-            .map(|(s, p)| tying.expand(s, p, n_elements[s]))
-            .collect();
-        let responses = to_responses(&element_phases);
-        let loss = objective.loss(&responses);
+        for (s, p) in params.iter().enumerate() {
+            tying.respond(s, p, &mut responses[s]);
+        }
+        let (loss, elem_grads) = objective.loss_and_grad(&responses);
         if loss < best_loss {
             best_loss = loss;
             best_params = params.clone();
         }
         history.push(loss);
 
-        let elem_grads = objective.grad_phase(&responses);
         if surfos_obs::enabled() {
             // The norm is only worth its O(elements) sweep when someone is
             // watching. Milli-units keep sub-1.0 norms out of bucket zero.
@@ -200,7 +231,7 @@ pub fn adam(
             surfos_obs::gauge("orchestrator.adam.loss", loss);
         }
         for s in 0..params.len() {
-            let g = tying.reduce(s, &elem_grads[s]);
+            let g = tying.reduce(s, &elem_grads[s], &mut reduced);
             for i in 0..params[s].len() {
                 m[s][i] = opts.beta1 * m[s][i] + (1.0 - opts.beta1) * g[i];
                 v[s][i] = opts.beta2 * v[s][i] + (1.0 - opts.beta2) * g[i] * g[i];
@@ -212,12 +243,10 @@ pub fn adam(
     }
 
     // Evaluate the final point too; keep the best seen.
-    let final_phases: Vec<Vec<f64>> = params
-        .iter()
-        .enumerate()
-        .map(|(s, p)| tying.expand(s, p, n_elements[s]))
-        .collect();
-    let final_loss = objective.loss(&to_responses(&final_phases));
+    for (s, p) in params.iter().enumerate() {
+        tying.respond(s, p, &mut responses[s]);
+    }
+    let final_loss = objective.loss(&responses);
     if final_loss < best_loss {
         best_loss = final_loss;
         best_params = params;
@@ -392,8 +421,9 @@ mod tests {
                 .sum::<f64>()
         }
 
-        fn grad_phase(&self, responses: &[Vec<Complex>]) -> Vec<Vec<f64>> {
-            self.targets
+        fn loss_and_grad(&self, responses: &[Vec<Complex>]) -> (f64, Vec<Vec<f64>>) {
+            let grads = self
+                .targets
                 .iter()
                 .zip(responses)
                 .map(|(t, r)| {
@@ -402,7 +432,116 @@ mod tests {
                         .map(|(ti, ri)| -(ti.conj() * Complex::J * *ri).re)
                         .collect()
                 })
+                .collect();
+            (self.loss(responses), grads)
+        }
+    }
+
+    /// Adam as it ran before the fused step: `loss`, then a separate
+    /// gradient pass, with fresh expand/respond/reduce vectors every
+    /// iteration.
+    fn two_pass_adam(
+        objective: &dyn Objective,
+        grad_phase: impl Fn(&[Vec<Complex>]) -> Vec<Vec<f64>>,
+        initial: &[Vec<f64>],
+        tying: &Tying,
+        opts: AdamOptions,
+    ) -> OptimizeResult {
+        let n_elements: Vec<usize> = initial.iter().map(Vec::len).collect();
+        let mut params: Vec<Vec<f64>> = initial
+            .iter()
+            .enumerate()
+            .map(|(s, elems)| match &tying.groups[s] {
+                None => elems.clone(),
+                Some(groups) => groups.iter().map(|g| elems[g[0]]).collect(),
+            })
+            .collect();
+        let mut m: Vec<Vec<f64>> = params.iter().map(|p| vec![0.0; p.len()]).collect();
+        let mut v: Vec<Vec<f64>> = params.iter().map(|p| vec![0.0; p.len()]).collect();
+        let mut history = Vec::new();
+        let mut best_loss = f64::INFINITY;
+        let mut best_params = params.clone();
+        let expand_all = |params: &[Vec<f64>]| -> Vec<Vec<f64>> {
+            params
+                .iter()
+                .enumerate()
+                .map(|(s, p)| tying.expand(s, p, n_elements[s]))
                 .collect()
+        };
+        for t in 1..=opts.iters {
+            let responses = to_responses(&expand_all(&params));
+            let loss = objective.loss(&responses);
+            if loss < best_loss {
+                best_loss = loss;
+                best_params = params.clone();
+            }
+            history.push(loss);
+            let elem_grads = grad_phase(&responses);
+            for s in 0..params.len() {
+                let g: Vec<f64> = match &tying.groups[s] {
+                    None => elem_grads[s].clone(),
+                    Some(groups) => groups
+                        .iter()
+                        .map(|g| g.iter().map(|&e| elem_grads[s][e]).sum())
+                        .collect(),
+                };
+                for i in 0..params[s].len() {
+                    m[s][i] = opts.beta1 * m[s][i] + (1.0 - opts.beta1) * g[i];
+                    v[s][i] = opts.beta2 * v[s][i] + (1.0 - opts.beta2) * g[i] * g[i];
+                    let m_hat = m[s][i] / (1.0 - opts.beta1.powi(t as i32));
+                    let v_hat = v[s][i] / (1.0 - opts.beta2.powi(t as i32));
+                    params[s][i] =
+                        wrap_phase(params[s][i] - opts.lr * m_hat / (v_hat.sqrt() + 1e-8));
+                }
+            }
+        }
+        let final_loss = objective.loss(&to_responses(&expand_all(&params)));
+        if final_loss < best_loss {
+            best_loss = final_loss;
+            best_params = params;
+        }
+        history.push(final_loss);
+        OptimizeResult {
+            phases: expand_all(&best_params),
+            loss: best_loss,
+            history,
+        }
+    }
+
+    #[test]
+    fn fused_adam_matches_two_pass_adam() {
+        use crate::objective::CoverageObjective;
+        use crate::reference;
+        let (sim, ap, client, points) = reference::relay_lab();
+        let obj = CoverageObjective::new(&sim, &ap, &points, &client);
+        let initial: Vec<Vec<f64>> = reference::responses(&sim)
+            .iter()
+            .map(|r| r.iter().map(|c| c.arg()).collect())
+            .collect();
+        let mut columns = Tying::element_wise(2);
+        columns.tie_columns(0, 32, 32);
+        columns.tie_columns(1, 32, 32);
+        let opts = AdamOptions {
+            iters: 12,
+            lr: 0.15,
+            ..Default::default()
+        };
+        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+        for tying in [Tying::element_wise(2), columns] {
+            let fused = adam(&obj, &initial, &tying, opts);
+            let two_pass = two_pass_adam(
+                &obj,
+                |r| reference::coverage_grad(&obj, r),
+                &initial,
+                &tying,
+                opts,
+            );
+            assert_eq!(bits(&fused.history), bits(&two_pass.history));
+            assert_eq!(fused.loss.to_bits(), two_pass.loss.to_bits());
+            for (a, b) in fused.phases.iter().zip(&two_pass.phases) {
+                assert_eq!(bits(a), bits(b));
+            }
+            assert!(fused.loss < fused.history[0], "Adam made no progress");
         }
     }
 
@@ -433,9 +572,8 @@ mod tests {
             (0..16).map(|i| Complex::cis(i as f64 * 0.2)).collect(),
             (0..8).map(|i| Complex::cis(i as f64 * 0.5)).collect(),
         ];
-        let g = obj.grad_phase(&responses);
+        let (base, g) = obj.loss_and_grad(&responses);
         let eps = 1e-6;
-        let base = obj.loss(&responses);
         let mut r2 = responses.clone();
         r2[1][3] *= Complex::cis(eps);
         let fd = (obj.loss(&r2) - base) / eps;
@@ -551,8 +689,9 @@ mod tests {
         let params = [0.3, 0.7];
         let grad = [1.0, 2.0, 3.0, 4.0];
         let expanded = tying.expand(0, &params, 4);
-        let reduced = tying.reduce(0, &grad);
-        let lhs: f64 = params.iter().zip(&reduced).map(|(p, g)| p * g).sum();
+        let mut buf = Vec::new();
+        let reduced = tying.reduce(0, &grad, &mut buf);
+        let lhs: f64 = params.iter().zip(reduced).map(|(p, g)| p * g).sum();
         let rhs: f64 = expanded.iter().zip(&grad).map(|(p, g)| p * g).sum();
         assert!((lhs - rhs).abs() < 1e-12);
     }

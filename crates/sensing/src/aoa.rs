@@ -190,32 +190,43 @@ impl AoaLinearization {
 
     /// The cross-entropy loss at responses `r` (natural log).
     pub fn loss(&self, r: &[Complex]) -> f64 {
-        let q = self.spectrum(r)[self.true_bin];
+        self.loss_at(&self.statistics(r))
+    }
+
+    fn loss_at(&self, z: &[Complex]) -> f64 {
+        let q = normalize(z.iter().map(|zi| zi.norm_sqr()).collect())[self.true_bin];
         -(q.max(1e-300)).ln()
     }
 
-    /// Analytic gradient of the loss with respect to each element's phase
-    /// (elements assumed to keep their current magnitude).
+    /// The loss and its analytic gradient with respect to each element's
+    /// phase (elements assumed to keep their current magnitude), from one
+    /// evaluation of the bin statistics.
     ///
     /// `∂loss/∂φ_e = −d|z_t|²/dφ_e / |z_t|² + Σ_j d|z_j|²/dφ_e / Σ_j |z_j|²`
     /// with `d|z_i|²/dφ_e = 2·Re(conj(z_i)·j·w_{i,e}·r_e)`.
-    pub fn grad_phase(&self, r: &[Complex]) -> Vec<f64> {
+    pub fn loss_and_grad(&self, r: &[Complex]) -> (f64, Vec<f64>) {
         let z = self.statistics(r);
         let total: f64 = z.iter().map(|zi| zi.norm_sqr()).sum();
         let zt = z[self.true_bin];
         let zt_sq = zt.norm_sqr().max(1e-300);
         let total = total.max(1e-300);
-        (0..r.len())
-            .map(|e| {
-                let mut sum_all = 0.0;
-                for (i, zi) in z.iter().enumerate() {
-                    sum_all += 2.0 * (zi.conj() * Complex::J * self.bin_weights[i][e] * r[e]).re;
-                }
-                let d_true =
-                    2.0 * (zt.conj() * Complex::J * self.bin_weights[self.true_bin][e] * r[e]).re;
-                -d_true / zt_sq + sum_all / total
-            })
-            .collect()
+        // Bins outer, elements inner: each bin's weights are read in
+        // order, and every element still sums its bins in bin order.
+        // `conj(z_i)·j·w·r` evaluates left to right, so `conj(z_i)·j` is
+        // hoisted out of the element loop without changing a bit.
+        let mut grad = vec![0.0; r.len()];
+        for (zi, w) in z.iter().zip(&self.bin_weights) {
+            let zj = zi.conj() * Complex::J;
+            for ((g, wi), ri) in grad.iter_mut().zip(w).zip(r) {
+                *g += 2.0 * (zj * *wi * *ri).re;
+            }
+        }
+        let zj = zt.conj() * Complex::J;
+        for ((g, wt), ri) in grad.iter_mut().zip(&self.bin_weights[self.true_bin]).zip(r) {
+            let d_true = 2.0 * (zj * *wt * *ri).re;
+            *g = -d_true / zt_sq + *g / total;
+        }
+        (self.loss_at(&z), grad)
     }
 
     /// Number of elements this linearization covers.
@@ -352,7 +363,8 @@ mod tests {
     #[test]
     fn gradient_matches_finite_difference() {
         let (lin, r) = toy_linearization();
-        let grad = lin.grad_phase(&r);
+        let (loss, grad) = lin.loss_and_grad(&r);
+        assert_eq!(loss.to_bits(), lin.loss(&r).to_bits());
         let phases: Vec<f64> = r.iter().map(|c| c.arg()).collect();
         let loss_at = |p: &[f64]| {
             let rr: Vec<Complex> = p.iter().map(|&x| Complex::cis(x)).collect();

@@ -53,9 +53,15 @@ cargo test -q -p surfos --test observability -- --exact identical_runs_yield_ide
 SURFOS_THREADS=3 cargo test -q -p surfos-channel --lib par::tests
 
 # Serial-objective gate: the orchestrator's objectives (the joint
-# MultiObjective, localization's probe fan-out) with the pool forced serial,
-# so the one-worker path is checked beside the default pooled run.
-SURFOS_THREADS=1 cargo test -q -p surfos-orchestrator
+# MultiObjective, localization's probe fan-out) and the AoA loss they build
+# on, with the pool forced serial, so the one-worker path is checked beside
+# the default pooled run.
+SURFOS_THREADS=1 cargo test -q -p surfos-orchestrator -p surfos-sensing
+
+# Fused-step gate: every objective's one-pass loss + gradient, and Adam on
+# it, against the two-pass reference, bit for bit, with SURFOS_THREADS=3 —
+# more gradient chunks than threads, claimed in several orders.
+SURFOS_THREADS=3 cargo test -q -p surfos-orchestrator --lib fused_
 
 # Shard-equivalence gate: the sharded kernel must stay bit-identical to a
 # flat single-scene evaluation even with the worker pool forced serial, so
@@ -106,4 +112,4 @@ SURFOS_METRICS_CHECK="$metrics_tmp" \
 # via #![warn(missing_docs)]) fail the build, not just warn.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
+echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), fused step (3 threads), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
