@@ -121,3 +121,22 @@ fn deterministic_metrics_with_labels_are_byte_identical() {
         "two identical runs produced different deterministic metrics"
     );
 }
+
+#[test]
+fn service_naming_an_unknown_zone_counts_one_reject() {
+    let _guard = OBS_LOCK.lock().unwrap_or_else(|e| e.into_inner());
+    obs::set_enabled(true);
+    obs::reset();
+    let mut kernel = surfos::shard::demo_campus(2).kernel;
+    let ghost = kernel.submit_service(vec![(
+        7,
+        surfos::orchestrator::ServiceRequest::optimize_coverage("b0.bedroom", 20.0),
+    )]);
+    let snap = obs::snapshot();
+    obs::set_enabled(false);
+    assert_eq!(
+        kernel.service_status(ghost),
+        Some(surfos::shard::ServiceStatus::Rejected)
+    );
+    assert_eq!(snap.counters.get("kernel.shard.rejects"), Some(&1));
+}

@@ -5,11 +5,9 @@
 //! sensitive data transmission necessitates added security protection"
 //! (paper §2.1). [`AppDemand`] is that variation as data.
 
-use serde::{Deserialize, Serialize};
-
 /// Recognized application classes (used by presets and the traffic
 /// monitor's classifier).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum AppClass {
     /// VR/AR gaming: very high throughput, very low latency, tracking.
     VrGaming,
@@ -27,7 +25,7 @@ pub enum AppClass {
 }
 
 /// What an application needs from the radio environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct AppDemand {
     /// The demanding application's class.
     pub class: AppClass,

@@ -1,13 +1,12 @@
 //! Endpoints: the radios at the edges of every channel.
 
-use serde::{Deserialize, Serialize};
 use surfos_em::antenna::ElementPattern;
 use surfos_geometry::{Pose, Vec3};
 
 /// What kind of device an endpoint is. SurfOS treats them uniformly for
 /// propagation; the kind matters to services (feedback comes from APs,
 /// powering targets are tags, …).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum EndpointKind {
     /// Infrastructure access point or base station.
     AccessPoint,
@@ -18,7 +17,7 @@ pub enum EndpointKind {
 }
 
 /// A transmitter/receiver in the environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Endpoint {
     /// Unique name, e.g. `"ap0"` or `"VR_headset"`.
     pub id: String,

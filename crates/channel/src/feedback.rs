@@ -5,12 +5,11 @@
 //! best one from endpoint feedback, the way 802.11ad APs sweep beam
 //! codebooks. This module carries those reports.
 
-use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
 
 /// One measurement report from an endpoint while a given local
 /// configuration slot was active.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct FeedbackReport {
     /// Reporting endpoint id.
     pub endpoint_id: String,

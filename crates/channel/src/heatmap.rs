@@ -5,11 +5,10 @@
 //! artefact: values sampled over points, with the order statistics the
 //! experiment harness prints.
 
-use serde::{Deserialize, Serialize};
 use surfos_geometry::Vec3;
 
 /// A scalar field sampled over points (RSS, SNR, localization error, …).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Heatmap {
     /// Sample locations.
     pub points: Vec<Vec3>,

@@ -5,7 +5,6 @@
 //! per-element response currently programmed into it. The hardware manager
 //! maps driver configurations onto [`SurfaceInstance::set_response`].
 
-use serde::{Deserialize, Serialize};
 use surfos_em::antenna::{ElementPattern, Pattern};
 use surfos_em::array::ArrayGeometry;
 use surfos_em::complex::Complex;
@@ -14,7 +13,7 @@ use surfos_geometry::{Pose, Vec3};
 
 /// Whether a surface acts on signals by reflection, transmission, or both
 /// (transflective, like mmWall).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OperationMode {
     /// Signals bounce off the front face (ScatterMIMO, MilliMirror, AutoMS…).
     Reflective,
@@ -37,7 +36,7 @@ impl OperationMode {
 }
 
 /// A metasurface deployed in the environment.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurfaceInstance {
     /// Unique name, e.g. `"passive0"`.
     pub id: String,

@@ -1,5 +1,5 @@
 //! The sharded kernel: one `SurfOS` instance per campus zone, run
-//! concurrently, coupled only by explicit messages.
+//! concurrently in bulk-synchronous supersteps.
 //!
 //! The paper targets *dense, building-wide* deployments; a campus of
 //! metal-shelled buildings is the natural scale-out unit because RF makes
@@ -13,42 +13,41 @@
 //!
 //! [`ShardedKernel`] owns one [`KernelShard`] per [`Zone`]. Each shard has
 //! its own scene index, linearization cache, scheduler state and
-//! orchestrator; shards never share a lock on the hot path. The two
-//! cross-shard concerns travel as messages with deterministic delivery
-//! order:
+//! orchestrator; shards never share a lock on the hot path. The coordinator
+//! is the only owner of cross-zone state:
 //!
-//! - **Walker handoff** ([`ShardMessage::Walker`]): a [`BlockerWalk`]
-//!   whose position leaves its owner's zone is handed to the zone that
-//!   contains it. Positions are pure functions of global time, so a
-//!   handoff transfers ownership, never state — replay is bit-identical
-//!   at any shard count.
-//! - **Service registration** ([`ControlMessage::Register`] /
-//!   [`ControlMessage::Release`]): a campus service spanning several zones
-//!   registers one task per zone; after each step the coordinator
-//!   reconciles grants all-or-nothing, releasing partial grants.
+//! - **Walkers**: every [`BlockerWalk`] is kept with the zone that owns it.
+//!   Each tick the coordinator moves every walker to the new global time,
+//!   routes it to the zone containing it (a changed zone is a handoff) and
+//!   hands each shard its crowd in walker-id order. Positions are pure
+//!   functions of global time, so a handoff moves ownership, never state —
+//!   replay is bit-identical at any shard count.
+//! - **Campus services**: a service spanning several zones submits one
+//!   task to each zone's kernel; after each step the coordinator
+//!   reconciles grants all-or-nothing and retires every part of a partial
+//!   grant.
 //!
 //! Admission is not a cross-shard concern: each part of a campus service
 //! is checked by its own shard's orchestrator
 //! ([`Orchestrator::admission_error`](surfos_orchestrator::Orchestrator::admission_error)),
 //! the same rule the daemon and the shell apply to a flat kernel.
 //!
-//! Determinism: phase A (walker routing) and phase B (shard heartbeats)
-//! fan out over the process-wide worker pool ([`surfos_channel::par`]):
-//! parked threads started once per process, so a tick pays a wake-up, not
-//! a thread spawn. Every channel is drained in source-shard order and
-//! walker lists are re-sorted by id after absorption, so the outcome is
-//! independent of thread count and identical to serial execution. A tick
-//! issued while the pool is busy (another kernel's fan-out) runs its
-//! shards inline, same bits. `SURFOS_THREADS=1` (read once per process)
-//! pins the pool for CI.
+//! Determinism: a tick is one superstep — routing on the coordinator, then
+//! one fan-out of the shards over the process-wide worker pool
+//! ([`surfos_channel::par`]), which returns only after every shard has
+//! finished, then reconciliation on the coordinator in service-id order.
+//! Shards touch only their own state during the fan-out, so the outcome is
+//! independent of thread count and identical to serial execution. The pool
+//! is parked threads started once per process, so a tick pays a wake-up,
+//! not a thread spawn; a tick issued while the pool is busy (another
+//! kernel's fan-out) runs its shards inline, same bits. `SURFOS_THREADS=1`
+//! (read once per process) pins the pool for CI.
 
-use std::collections::BTreeMap;
-use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 
 use crate::kernel::{StepReport, SurfOS};
 use crate::telemetry::Telemetry;
-use surfos_channel::dynamics::BlockerWalk;
+use surfos_channel::dynamics::{Blocker, BlockerWalk};
 use surfos_channel::{par, CacheStats, ChannelSim, Endpoint, Linearization, SurfaceInstance};
 use surfos_em::band::Band;
 use surfos_geometry::{FloorPlan, Pose, Room, Vec3, Wall};
@@ -124,47 +123,6 @@ fn route(zones: &[Zone], p: Vec3) -> usize {
     best
 }
 
-/// A cross-shard data-plane message (shard → shard, one FIFO channel per
-/// ordered pair).
-#[derive(Debug)]
-pub enum ShardMessage {
-    /// A walker whose position left the sender's zone; the receiver owns
-    /// it from this tick on. The walk is a pure function of global time,
-    /// so ownership transfer carries no hidden state.
-    Walker {
-        /// Campus-wide walker id (assigned by [`ShardedKernel::attach_walk`]).
-        id: u64,
-        /// The scripted trajectory.
-        walk: BlockerWalk,
-    },
-}
-
-/// A coordinator → shard control message (drained before each heartbeat).
-#[derive(Debug)]
-pub enum ControlMessage {
-    /// Admit one zone's part of a campus service.
-    Register {
-        /// Campus-wide service id.
-        service: u64,
-        /// The request this zone's orchestrator should admit.
-        request: ServiceRequest,
-    },
-    /// Withdraw a previously registered part (all-or-nothing
-    /// reconciliation failed in another zone). Releases its slices and
-    /// retires the task.
-    Release {
-        /// Campus-wide service id.
-        service: u64,
-    },
-}
-
-/// A scripted blocker with its campus-wide identity.
-#[derive(Debug)]
-struct Walker {
-    id: u64,
-    walk: BlockerWalk,
-}
-
 /// Lifecycle of a multi-zone campus service.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ServiceStatus {
@@ -172,112 +130,34 @@ pub enum ServiceStatus {
     Pending,
     /// Every zone's part is running.
     Granted,
-    /// Admission failed (precheck or partial grant); all parts released.
+    /// Admission failed (unknown zone, precheck or partial grant); all
+    /// parts released.
     Rejected,
 }
 
+/// A campus service; its id is its index in [`ShardedKernel::services`].
 #[derive(Debug)]
 struct CampusService {
-    id: u64,
-    parts: Vec<usize>,
+    /// Each part's shard and its task there (empty when rejected at
+    /// submission).
+    parts: Vec<(usize, TaskId)>,
     status: ServiceStatus,
 }
 
-/// One zone's kernel plus its communication endpoints.
+/// One zone's kernel and the links it evaluates.
 pub struct KernelShard {
     index: usize,
-    zone: Zone,
-    /// The full zone table (routing for outbound handoffs).
-    zones: Vec<Zone>,
     kernel: SurfOS,
     /// Links this shard evaluates each replay tick, in registration order.
     links: Vec<(Endpoint, Endpoint)>,
     /// Last replay outputs, one per local link.
     lins: Vec<Arc<Linearization>>,
-    /// Owned walkers, sorted by campus id.
-    walkers: Vec<Walker>,
-    /// Lifetime count of handoffs this shard sent.
-    outbound: u64,
-    /// Senders to every shard (self-channel unused).
-    peer_tx: Vec<Sender<ShardMessage>>,
-    /// Receivers from every shard, indexed by source.
-    peer_rx: Vec<Receiver<ShardMessage>>,
-    ctrl_rx: Receiver<ControlMessage>,
-    /// Campus service id → this shard's task for it.
-    tasks: BTreeMap<u64, TaskId>,
 }
 
 impl KernelShard {
     /// The shard's kernel (scheduler state, telemetry, simulator).
     pub fn kernel(&self) -> &SurfOS {
         &self.kernel
-    }
-
-    /// Phase A: advance owned walkers to global time `t_s` and hand off
-    /// any that left the zone. Send order is walker-id order (the owned
-    /// list is kept sorted), so each channel's FIFO content is
-    /// deterministic.
-    fn route_walkers(&mut self, t_s: f64) {
-        let mut kept = Vec::with_capacity(self.walkers.len());
-        for w in self.walkers.drain(..) {
-            let pos = w.walk.position_at(t_s);
-            let dst = if self.zone.contains(pos) {
-                self.index
-            } else {
-                route(&self.zones, pos)
-            };
-            if dst == self.index {
-                kept.push(w);
-            } else {
-                self.outbound += 1;
-                self.peer_tx[dst]
-                    .send(ShardMessage::Walker {
-                        id: w.id,
-                        walk: w.walk,
-                    })
-                    .expect("peer shard channel closed");
-            }
-        }
-        self.walkers = kept;
-    }
-
-    /// Phase B prologue: absorb inbound handoffs (source order, FIFO per
-    /// channel) and restore the id sort.
-    fn absorb(&mut self) {
-        for rx in &self.peer_rx {
-            while let Ok(ShardMessage::Walker { id, walk }) = rx.try_recv() {
-                self.walkers.push(Walker { id, walk });
-            }
-        }
-        self.walkers.sort_by_key(|w| w.id);
-    }
-
-    /// Drain control messages: admit registered parts, retire released
-    /// ones (slices freed, task moved out of contention).
-    fn control(&mut self) {
-        while let Ok(msg) = self.ctrl_rx.try_recv() {
-            match msg {
-                ControlMessage::Register { service, request } => {
-                    let tid = self.kernel.submit(request);
-                    self.tasks.insert(service, tid);
-                }
-                ControlMessage::Release { service } => {
-                    if let Some(tid) = self.tasks.remove(&service) {
-                        self.kernel.orchestrator_mut().retire(tid);
-                    }
-                }
-            }
-        }
-    }
-
-    /// Position the owned crowd at global time `t_s` (id order).
-    fn set_blockers_at(&mut self, t_s: f64) {
-        let blockers = self
-            .walkers
-            .iter()
-            .map(|w| w.walk.blocker_at(t_s))
-            .collect();
-        self.kernel.set_blockers(blockers);
     }
 
     /// Evaluate every local link through the shard's linearization cache
@@ -323,11 +203,8 @@ pub struct CampusStepReport {
 pub struct ShardedKernel {
     shards: Vec<KernelShard>,
     zones: Vec<Zone>,
-    ctrl_tx: Vec<Sender<ControlMessage>>,
     band: Band,
     now_ms: u64,
-    walker_seq: u64,
-    service_seq: u64,
     /// Chunk-count override for the shard fan-out (tests pin this;
     /// `None` → `SURFOS_THREADS` / hardware via
     /// [`par::configured_threads`]).
@@ -338,9 +215,12 @@ pub struct ShardedKernel {
     surfaces: Vec<(usize, usize)>,
     /// Per shard: local surface index → global surface id.
     surface_globals: Vec<Vec<usize>>,
+    /// Walker id → (trajectory, owning zone at the last tick).
+    walkers: Vec<(BlockerWalk, usize)>,
+    /// Lifetime count of walker handoffs.
+    handoffs: u64,
+    /// Service id → campus service.
     services: Vec<CampusService>,
-    /// Handoff total at the last step boundary (for per-step deltas).
-    last_handoffs: u64,
 }
 
 impl ShardedKernel {
@@ -372,61 +252,29 @@ impl ShardedKernel {
                 room.max,
             ));
         }
-
-        // One FIFO channel per ordered shard pair (self-channels exist but
-        // stay empty — uniform indexing beats special cases).
-        let mut peer_tx: Vec<Vec<Sender<ShardMessage>>> = (0..n).map(|_| Vec::new()).collect();
-        let mut peer_rx: Vec<Vec<Receiver<ShardMessage>>> = (0..n).map(|_| Vec::new()).collect();
-        // Outer loop is the source shard, so peer_rx[dst] collects its
-        // receivers in source order — exactly the drain order `absorb`
-        // uses for deterministic delivery.
-        for tx_row in peer_tx.iter_mut() {
-            for rx_col in peer_rx.iter_mut() {
-                let (tx, rx) = channel();
-                tx_row.push(tx);
-                rx_col.push(rx);
-            }
-        }
-
-        let mut ctrl_tx = Vec::with_capacity(n);
-        let mut shards = Vec::with_capacity(n);
-        let mut rx_iter = peer_rx.into_iter();
-        for (index, tx_row) in peer_tx.into_iter().enumerate() {
-            let (ctl_tx, ctl_rx) = channel();
-            ctrl_tx.push(ctl_tx);
-            shards.push(KernelShard {
+        let shards = local_plans
+            .into_iter()
+            .enumerate()
+            .map(|(index, plan)| KernelShard {
                 index,
-                zone: zones[index],
-                zones: zones.clone(),
-                kernel: SurfOS::new(ChannelSim::new(
-                    std::mem::take(&mut local_plans[index]),
-                    band,
-                )),
+                kernel: SurfOS::new(ChannelSim::new(plan, band)),
                 links: Vec::new(),
                 lins: Vec::new(),
-                walkers: Vec::new(),
-                outbound: 0,
-                peer_tx: tx_row,
-                peer_rx: rx_iter.next().expect("one rx row per shard"),
-                ctrl_rx: ctl_rx,
-                tasks: BTreeMap::new(),
-            });
-        }
+            })
+            .collect();
 
         ShardedKernel {
             shards,
             zones,
-            ctrl_tx,
             band,
             now_ms: 0,
-            walker_seq: 0,
-            service_seq: 0,
             threads: None,
             links: Vec::new(),
             surfaces: Vec::new(),
             surface_globals: vec![Vec::new(); n],
+            walkers: Vec::new(),
+            handoffs: 0,
             services: Vec::new(),
-            last_handoffs: 0,
         }
     }
 
@@ -540,162 +388,146 @@ impl ShardedKernel {
         Ok(id)
     }
 
-    /// Attaches a scripted walker; ownership starts at the zone containing
-    /// its current position and follows it across boundaries via handoff
-    /// messages. Returns the campus-wide walker id.
+    /// Attaches a scripted walker; its owner is the zone containing its
+    /// current position, re-routed every tick. Returns the campus-wide
+    /// walker id.
     pub fn attach_walk(&mut self, walk: BlockerWalk) -> u64 {
-        let id = self.walker_seq;
-        self.walker_seq += 1;
         let t_s = self.now_ms as f64 / 1000.0;
-        let owner = route(&self.zones, walk.position_at(t_s));
-        self.shards[owner].walkers.push(Walker { id, walk });
-        self.shards[owner].walkers.sort_by_key(|w| w.id);
-        id
+        let zone = route(&self.zones, walk.position_at(t_s));
+        self.walkers.push((walk, zone));
+        self.walkers.len() as u64 - 1
     }
 
     /// Submits a campus service: one request per zone it spans. Each
-    /// part's shard runs the orchestrator's admission check (a zone with
-    /// no surface, no slots or no access point rejects the whole service
-    /// immediately); parts that pass are registered via control messages
-    /// and reconciled all-or-nothing after the next step. Returns the
-    /// campus-wide service id.
+    /// part's shard runs the orchestrator's admission check; a part naming
+    /// no shard, or a shard with no surface, no slots or no access point,
+    /// rejects the whole service immediately. Otherwise every part enters
+    /// its shard's task table now and the grants are reconciled
+    /// all-or-nothing after each step. Returns the campus-wide service id.
     pub fn submit_service(&mut self, parts: Vec<(usize, ServiceRequest)>) -> u64 {
-        let id = self.service_seq;
-        self.service_seq += 1;
+        let id = self.services.len() as u64;
         let feasible = !parts.is_empty()
             && parts.iter().all(|(z, _)| {
-                self.shards[*z]
-                    .kernel
-                    .orchestrator()
-                    .admission_error()
-                    .is_none()
+                self.shards
+                    .get(*z)
+                    .is_some_and(|s| s.kernel.orchestrator().admission_error().is_none())
             });
-        let status = if feasible {
-            ServiceStatus::Pending
+        let (parts, status) = if feasible {
+            let parts = parts
+                .into_iter()
+                .map(|(z, request)| {
+                    let _obs = surfos_obs::scoped(&[("shard", z)]);
+                    (z, self.shards[z].kernel.submit(request))
+                })
+                .collect();
+            (parts, ServiceStatus::Pending)
         } else {
             surfos_obs::add("kernel.shard.rejects", 1);
-            ServiceStatus::Rejected
+            (Vec::new(), ServiceStatus::Rejected)
         };
-        let shard_ids: Vec<usize> = parts.iter().map(|(z, _)| *z).collect();
-        if feasible {
-            for (zone, request) in parts {
-                self.ctrl_tx[zone]
-                    .send(ControlMessage::Register {
-                        service: id,
-                        request,
-                    })
-                    .expect("shard control channel closed");
-            }
-        }
-        self.services.push(CampusService {
-            id,
-            parts: shard_ids,
-            status,
-        });
+        self.services.push(CampusService { parts, status });
         id
     }
 
     /// Lifecycle state of a campus service.
     pub fn service_status(&self, id: u64) -> Option<ServiceStatus> {
-        self.services.iter().find(|s| s.id == id).map(|s| s.status)
+        let service = self.services.get(usize::try_from(id).ok()?)?;
+        Some(service.status)
     }
 
-    /// One campus heartbeat: route walkers (phase A, parallel), then run
-    /// every shard's full kernel step (phase B, parallel), then reconcile
-    /// multi-zone services and mirror aggregates (phase C, serial).
-    pub fn step(&mut self, dt_ms: u64) -> CampusStepReport {
+    /// Advances campus time by `dt_ms` and runs one superstep: every
+    /// walker moves to the zone containing it at the new time (a changed
+    /// zone is a handoff), then `phase` runs on every shard with its crowd
+    /// in walker-id order, in parallel, under the shard's `{shard=N}`
+    /// label scope — so every counter and span a shard records also lands
+    /// under its label, and its trace events on the `shard=N` track.
+    /// Returns the outputs in shard order and this tick's handoffs.
+    fn superstep<U, F>(&mut self, dt_ms: u64, phase: F) -> (Vec<U>, u64)
+    where
+        U: Send,
+        F: Fn(&mut KernelShard, Vec<Blocker>) -> U + Sync,
+    {
         self.now_ms += dt_ms;
         let t_s = self.now_ms as f64 / 1000.0;
+        let mut crowds: Vec<Vec<Blocker>> = vec![Vec::new(); self.shards.len()];
+        let mut handoffs = 0;
+        for (walk, zone) in &mut self.walkers {
+            let pos = walk.position_at(t_s);
+            let owner = route(&self.zones, pos);
+            if owner != *zone {
+                handoffs += 1;
+                *zone = owner;
+            }
+            crowds[owner].push(Blocker::person(pos));
+        }
+        self.handoffs += handoffs;
         let threads = self.worker_count();
-        par::par_map_mut_with_threads(&mut self.shards, threads, |s| {
+        let mut work: Vec<_> = self.shards.iter_mut().zip(crowds).collect();
+        let out = par::par_map_mut_with_threads(&mut work, threads, |(s, crowd)| {
             let _obs = surfos_obs::scoped(&[("shard", s.index)]);
-            let _span = surfos_obs::span!("kernel.shard.route");
-            s.route_walkers(t_s)
+            phase(s, std::mem::take(crowd))
         });
-        let per_shard = par::par_map_mut_with_threads(&mut self.shards, threads, |s| {
-            // Per-shard label scope: every counter/span the kernel records
-            // in this phase also lands under `{shard=N}`, and its trace
-            // events land on the `shard=N` track.
-            let _obs = surfos_obs::scoped(&[("shard", s.index)]);
-            s.absorb();
-            s.control();
-            s.set_blockers_at(t_s);
+        (out, handoffs)
+    }
+
+    /// One campus heartbeat: one superstep running every shard's full
+    /// kernel step, then multi-zone grant reconciliation and aggregate
+    /// mirroring on the coordinator.
+    pub fn step(&mut self, dt_ms: u64) -> CampusStepReport {
+        let (per_shard, handoffs) = self.superstep(dt_ms, |s, crowd| {
+            s.kernel.set_blockers(crowd);
             s.kernel.step(dt_ms)
         });
         let mut report = CampusStepReport {
             per_shard,
+            handoffs,
             ..Default::default()
         };
         self.reconcile(&mut report);
-        let total: u64 = self.shards.iter().map(|s| s.outbound).sum();
-        report.handoffs = total - self.last_handoffs;
-        self.last_handoffs = total;
-        self.mirror_obs(report.handoffs);
+        self.mirror_obs(handoffs);
         report
     }
 
-    /// One replay tick: walker routing plus per-shard blocker update and
+    /// One replay tick: one superstep of per-shard blocker update and
     /// cached link evaluation — the walk-replay hot path, no scheduling or
     /// optimization. Results land in [`ShardedKernel::linearizations`].
     pub fn replay_tick(&mut self, dt_ms: u64) {
-        self.now_ms += dt_ms;
-        let t_s = self.now_ms as f64 / 1000.0;
-        let threads = self.worker_count();
-        par::par_map_mut_with_threads(&mut self.shards, threads, |s| {
-            let _obs = surfos_obs::scoped(&[("shard", s.index)]);
-            let _span = surfos_obs::span!("kernel.shard.route");
-            s.route_walkers(t_s)
-        });
-        par::par_map_mut_with_threads(&mut self.shards, threads, |s| {
-            let _obs = surfos_obs::scoped(&[("shard", s.index)]);
+        let (_, handoffs) = self.superstep(dt_ms, |s, crowd| {
             let _span = surfos_obs::span!("kernel.shard.eval");
-            s.absorb();
-            s.set_blockers_at(t_s);
+            s.kernel.set_blockers(crowd);
             s.eval_links();
         });
-        let total: u64 = self.shards.iter().map(|s| s.outbound).sum();
-        self.mirror_obs(total - self.last_handoffs);
-        self.last_handoffs = total;
+        self.mirror_obs(handoffs);
     }
 
-    /// All-or-nothing grant reconciliation for pending campus services.
+    /// All-or-nothing grant reconciliation for pending campus services: a
+    /// service whose parts all run is granted; one with only some parts
+    /// running is rejected and every part retired now, so its slices are
+    /// free before the next heartbeat.
     fn reconcile(&mut self, report: &mut CampusStepReport) {
-        for service in &mut self.services {
+        for (id, service) in self.services.iter_mut().enumerate() {
             if service.status != ServiceStatus::Pending {
                 continue;
             }
-            let states: Vec<Option<TaskState>> = service
+            let running = service
                 .parts
                 .iter()
-                .map(|&z| {
-                    let shard = &self.shards[z];
-                    shard
-                        .tasks
-                        .get(&service.id)
-                        .and_then(|tid| shard.kernel.orchestrator().tasks.get(*tid))
-                        .map(|t| t.state)
+                .filter(|&&(z, task)| {
+                    let tasks = &self.shards[z].kernel.orchestrator().tasks;
+                    tasks.get(task).map(|t| t.state) == Some(TaskState::Running)
                 })
-                .collect();
-            let running = states
-                .iter()
-                .filter(|s| **s == Some(TaskState::Running))
                 .count();
             if running == service.parts.len() {
                 service.status = ServiceStatus::Granted;
-                report.granted.push(service.id);
+                report.granted.push(id as u64);
                 surfos_obs::add("kernel.shard.grants", 1);
             } else if running > 0 {
-                // Partial grant: withdraw everywhere (the Release lands
-                // before the next heartbeat's schedule frame).
-                for &z in &service.parts {
-                    self.ctrl_tx[z]
-                        .send(ControlMessage::Release {
-                            service: service.id,
-                        })
-                        .expect("shard control channel closed");
+                for &(z, task) in &service.parts {
+                    let _obs = surfos_obs::scoped(&[("shard", z)]);
+                    self.shards[z].kernel.orchestrator_mut().retire(task);
                 }
                 service.status = ServiceStatus::Rejected;
-                report.rejected.push(service.id);
+                report.rejected.push(id as u64);
                 surfos_obs::add("kernel.shard.rejects", 1);
             }
             // running == 0: stay pending, retry next frame.
@@ -752,7 +584,7 @@ impl ShardedKernel {
 
     /// Lifetime walker handoffs across zone boundaries.
     pub fn handoffs(&self) -> u64 {
-        self.shards.iter().map(|s| s.outbound).sum()
+        self.handoffs
     }
 
     /// Per-shard linearization-cache statistics, summed campus-wide
@@ -1014,9 +846,6 @@ mod tests {
             .map(|i| demo.kernel.shard(i).kernel().sim().surfaces().len())
             .collect();
         assert_eq!(surfaces, [1, 1]);
-        // Speed up the test: fewer optimizer iterations per shard.
-        // (Accessible only pre-step via the demo's kernel internals; the
-        // default is fine here — two small shards.)
         let mut granted = Vec::new();
         for _ in 0..3 {
             let report = demo.kernel.step(100);
@@ -1047,6 +876,90 @@ mod tests {
         assert!(
             cs.hits + cs.refreshes > 0,
             "replay ticks must reuse the cache: {cs:?}"
+        );
+    }
+
+    /// Two zones split at x = 10 m; `FloorPlan::new()` holds no walls.
+    fn split_at_ten() -> ShardedKernel {
+        let zones = vec![
+            Zone::new(f64::NEG_INFINITY, f64::NEG_INFINITY, 10.0, f64::INFINITY),
+            Zone::new(10.0, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY),
+        ];
+        let band = surfos_em::band::NamedBand::MmWave28GHz.band();
+        ShardedKernel::new(&FloorPlan::new(), band, zones)
+    }
+
+    #[test]
+    fn a_walker_that_crosses_and_returns_hands_off_exactly_twice() {
+        let mut kernel = split_at_ten();
+        // 10 m out and 10 m back at 1 m/s: on the boundary (zone 1,
+        // half-open) at t = 5 s, still there at t = 15 s, back in zone 0
+        // at t = 16 s, home at t = 20 s.
+        kernel.attach_walk(BlockerWalk::new(
+            vec![Vec3::xy(5.0, 0.0), Vec3::xy(15.0, 0.0)],
+            1.0,
+        ));
+        let mut reported = 0;
+        for tick in 0..20 {
+            if tick % 2 == 0 {
+                reported += kernel.step(1000).handoffs;
+            } else {
+                let before = kernel.handoffs();
+                kernel.replay_tick(1000);
+                reported += kernel.handoffs() - before;
+            }
+        }
+        assert_eq!(kernel.handoffs(), 2);
+        assert_eq!(reported, 2);
+    }
+
+    #[test]
+    fn service_naming_an_unknown_zone_is_rejected() {
+        let mut kernel = demo_campus(2).kernel;
+        let coverage = || ServiceRequest::optimize_coverage("b0.bedroom", 20.0);
+        let ghost = kernel.submit_service(vec![(7, coverage())]);
+        assert_eq!(kernel.service_status(ghost), Some(ServiceStatus::Rejected));
+        // A valid part beside an unknown zone enters no task table either.
+        let tasks_before = kernel.shard(0).kernel().orchestrator().tasks.all().len();
+        let mixed = kernel.submit_service(vec![(0, coverage()), (2, coverage())]);
+        assert_eq!(kernel.service_status(mixed), Some(ServiceStatus::Rejected));
+        assert_eq!(
+            kernel.shard(0).kernel().orchestrator().tasks.all().len(),
+            tasks_before
+        );
+        let report = kernel.step(100);
+        assert!(
+            report.rejected.is_empty(),
+            "rejected at submission, not now"
+        );
+        assert_eq!(kernel.service_status(ghost), Some(ServiceStatus::Rejected));
+    }
+
+    #[test]
+    fn partial_grant_is_rejected_and_retired_in_the_same_step() {
+        let mut demo = demo_campus(2);
+        let service = demo.kernel.submit_service(vec![
+            (0, ServiceRequest::optimize_coverage("b0.bedroom", 20.0)),
+            (1, ServiceRequest::optimize_coverage("no-such-room", 20.0)),
+        ]);
+        let parts = demo.kernel.services[service as usize].parts.clone();
+        assert_eq!(parts.iter().map(|p| p.0).collect::<Vec<_>>(), [0, 1]);
+        let report = demo.kernel.step(100);
+        assert_eq!(
+            demo.kernel.service_status(service),
+            Some(ServiceStatus::Rejected)
+        );
+        assert_eq!(report.rejected, [service]);
+        let orch = |z: usize| demo.kernel.shard(z).kernel().orchestrator();
+        let served = parts[0].1;
+        assert_eq!(
+            orch(0).tasks.get(served).map(|t| t.state),
+            Some(TaskState::Completed)
+        );
+        assert!(orch(0).slices.slices_of(served).is_empty(), "slices freed");
+        assert_eq!(
+            orch(1).tasks.get(parts[1].1).map(|t| t.state),
+            Some(TaskState::Failed)
         );
     }
 
@@ -1093,12 +1006,8 @@ mod tests {
 
     #[test]
     fn campus_admission_runs_on_each_parts_shard() {
-        let zones = vec![
-            Zone::new(f64::NEG_INFINITY, f64::NEG_INFINITY, 10.0, f64::INFINITY),
-            Zone::new(10.0, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY),
-        ];
-        let band = surfos_em::band::NamedBand::MmWave28GHz.band();
-        let mut kernel = ShardedKernel::new(&FloorPlan::new(), band, zones);
+        let mut kernel = split_at_ten();
+        let band = kernel.band();
         let geom = surfos_em::array::ArrayGeometry::half_wavelength(8, 8, band.wavelength_m());
         for x in [2.0, 12.0] {
             kernel.add_surface(SurfaceInstance::new(

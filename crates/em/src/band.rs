@@ -6,10 +6,9 @@
 //! multiplexing in the orchestrator.
 
 use crate::units::SPEED_OF_LIGHT;
-use serde::{Deserialize, Serialize};
 
 /// A contiguous frequency band: a centre frequency plus a bandwidth.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Band {
     /// Centre frequency in hertz.
     pub center_hz: f64,
@@ -75,7 +74,7 @@ impl Band {
 }
 
 /// Well-known bands used by the surface designs in Table 1 of the paper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NamedBand {
     /// 2.4 GHz ISM (Wi-Fi, LAIA / RFocus / LLAMA / LAVA).
     Ism2_4GHz,

@@ -11,7 +11,6 @@ use crate::bvh::{Aabb, Bvh, SegmentPacket};
 use crate::material::Material;
 use crate::vec3::Vec3;
 use crate::wall::Wall;
-use serde::{Deserialize, Serialize};
 use surfos_em::band::Band;
 use surfos_em::simd::{Backend, F32x8, F64x4, SimdF32x8, SimdF64x4, SimdMask8, SimdMaskD4};
 
@@ -471,7 +470,7 @@ impl WallIndex {
 
 /// A named rectangular room region (plan view), used for "optimize coverage
 /// in the bedroom"-style service goals and for sampling evaluation grids.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Room {
     /// Human-readable name, e.g. `"bedroom"`.
     pub name: String,
@@ -550,7 +549,7 @@ impl Room {
 }
 
 /// The environment model: a set of walls and named rooms.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct FloorPlan {
     walls: Vec<Wall>,
     rooms: Vec<Room>,

@@ -4,13 +4,12 @@
 //! operations ray tracing and frame transforms use; anything fancier would
 //! be an invitation for unused, untested surface area.
 
-use serde::{Deserialize, Serialize};
 use std::ops::{Add, AddAssign, Div, Mul, Neg, Sub, SubAssign};
 
 /// A point or direction in 3-D space, metres.
 ///
 /// Convention throughout SurfOS: x–y is the floor plane, +z is up.
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct Vec3 {
     /// X component (metres).
     pub x: f64,

@@ -7,7 +7,6 @@
 
 use crate::bvh::Aabb;
 use crate::vec3::Vec3;
-use serde::{Deserialize, Serialize};
 
 use crate::material::Material;
 
@@ -17,7 +16,7 @@ use crate::material::Material;
 const GRAZE_MARGIN_M: f64 = 1e-3;
 
 /// A vertical wall panel.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Wall {
     /// One end of the wall's footprint (z is ignored; the wall starts at 0).
     pub a: Vec3,

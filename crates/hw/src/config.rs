@@ -5,12 +5,11 @@
 //! [`SurfaceConfig`] is exactly that, with optional surface-wide frequency
 //! and polarization settings for the designs that control those.
 
-use serde::{Deserialize, Serialize};
 use surfos_em::complex::Complex;
 use surfos_em::phase::wrap_phase;
 
 /// The programmed state of one element.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ElementState {
     /// Phase shift in radians, `[0, 2π)`.
     pub phase: f64,
@@ -40,7 +39,7 @@ impl ElementState {
 }
 
 /// A complete surface configuration.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct SurfaceConfig {
     /// Per-element states, row-major.
     pub elements: Vec<ElementState>,

@@ -2,10 +2,9 @@
 //! Figure 4 trade-off study.
 
 use crate::spec::HardwareSpec;
-use serde::{Deserialize, Serialize};
 
 /// Aggregate cost/size/power of a deployment (one or more surfaces).
-#[derive(Debug, Clone, Copy, PartialEq, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct DeploymentCost {
     /// Total hardware cost in USD.
     pub hardware_usd: f64,

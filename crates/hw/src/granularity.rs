@@ -7,12 +7,11 @@
 //! hardware can realize — and expose that granularity so the optimizer can
 //! anticipate the loss.
 
-use serde::{Deserialize, Serialize};
 use surfos_em::complex::Complex;
 use surfos_em::phase::{quantize_phase, wrap_phase};
 
 /// How finely a design's element states can be set.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Reconfigurability {
     /// Configuration frozen at fabrication (MilliMirror, AutoMS, PMSat…).
     Passive,

@@ -1,10 +1,8 @@
 //! Non-surface hardware SurfOS manages or interacts with (paper §3.1):
 //! APs, base stations, and external sensors that report measurements.
 
-use serde::{Deserialize, Serialize};
-
 /// What a non-surface device can contribute to SurfOS.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SensingCapability {
     /// Per-client channel/RSS feedback via MAC-layer reports (802.11ad
     /// beam sweeps, cellular CSI).
@@ -20,7 +18,7 @@ pub enum SensingCapability {
 }
 
 /// A registered non-surface device.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct NonSurfaceDevice {
     /// Unique device id, e.g. `"ap0"`.
     pub id: String,
@@ -31,7 +29,7 @@ pub struct NonSurfaceDevice {
 }
 
 /// Classes of non-surface hardware.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NonSurfaceKind {
     /// Wi-Fi / WiGig access point.
     AccessPoint,

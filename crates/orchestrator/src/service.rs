@@ -4,14 +4,12 @@
 //! wanted (a link, a room, a device, a quality target), never *which*
 //! surface provides it. Each accepted request becomes a [`crate::task::Task`].
 
-use serde::{Deserialize, Serialize};
-
 /// The front-end names of the five service classes, as the daemon's
 /// `register` op and the shell's `request` command spell them.
 pub const SERVICE_KINDS: &str = "coverage|link|sensing|powering|protect";
 
 /// The classes of low-level capability surfaces provide (paper Figure 1).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum ServiceKind {
     /// Per-link connectivity enhancement.
     Connectivity,
@@ -27,7 +25,7 @@ pub enum ServiceKind {
 }
 
 /// The quantitative goal of a request.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub enum ServiceGoal {
     /// Reach at least this SNR (dB) on a link, with a latency budget (ms).
     LinkQuality {
@@ -59,7 +57,7 @@ pub enum ServiceGoal {
 }
 
 /// A service request — the argument of one service API call.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ServiceRequest {
     /// Service class.
     pub kind: ServiceKind,

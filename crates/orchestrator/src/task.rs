@@ -1,7 +1,6 @@
 //! Tasks: the OS-process analogue for surface services (paper §3.2).
 
 use crate::service::ServiceRequest;
-use serde::{Deserialize, Serialize};
 
 /// Task identifier (monotonically assigned by the task table).
 pub type TaskId = u64;
@@ -9,7 +8,7 @@ pub type TaskId = u64;
 /// Lifecycle states. The transitions mirror a conventional process table:
 /// `Pending → Running ↔ Idle → Completed`, with `Failed` reachable from
 /// any live state.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TaskState {
     /// Admitted but not yet scheduled onto any slice.
     Pending,
@@ -24,7 +23,7 @@ pub enum TaskState {
 }
 
 /// One task: an admitted service request plus its runtime state.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Task {
     /// Identifier.
     pub id: TaskId,

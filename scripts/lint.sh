@@ -68,6 +68,12 @@ SURFOS_THREADS=3 cargo test -q -p surfos-orchestrator --lib fused_
 # a result that silently depends on thread count cannot land.
 SURFOS_THREADS=1 cargo test -q -p surfos-bench --test shard_equivalence
 
+# Benchmark-build gate: e2ebench is a package of its own outside the
+# workspace, so a library API change that breaks it would pass every step
+# above. --locked also fails any dependency edit that would rewrite
+# e2ebench/Cargo.lock.
+cargo test -q --offline --locked --manifest-path e2ebench/Cargo.toml
+
 # Flight-recorder gate: a real `surfosd --trace` run over the demo script
 # must produce a valid Chrome Trace Event document — balanced B/E pairs
 # and monotonic timestamps on every track. The checker lives in
@@ -112,4 +118,4 @@ SURFOS_METRICS_CHECK="$metrics_tmp" \
 # via #![warn(missing_docs)]) fail the build, not just warn.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), fused step (3 threads), shard equivalence (serial), trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
+echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), fused step (3 threads), shard equivalence (serial), e2ebench build + tests, trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
