@@ -17,10 +17,17 @@
 //! One acceptor thread owns the listeners; a **bounded pool** of session
 //! workers (sized by [`surfos_channel::par::configured_threads`], the same
 //! `SURFOS_THREADS` discipline as the compute pools) owns the connections.
-//! Each worker sweeps its shard of non-blocking connections: drain bytes
-//! into a [`FrameBuf`], decode complete frames, dispatch, queue the
-//! response bytes, flush. Kernel and registry state live behind one mutex
-//! — the kernel is single-threaded by design, so the pool buys *I/O*
+//! The acceptor hands each new connection to one worker, round robin.
+//! Every I/O thread blocks in `poll(2)` with no timeout, over its sockets
+//! plus a *wake descriptor* (one end of a socket pair): the acceptor
+//! writes a byte to a worker's wake descriptor after a handoff, and
+//! [`Server::stop`] writes one to every thread's. A worker serves only
+//! the sessions `poll` reports ready: drain bytes into a [`FrameBuf`],
+//! decode complete frames, dispatch, queue the response bytes, flush.
+//! Accepted TCP sockets set `TCP_NODELAY`, so an answer written while an
+//! earlier one is still unacknowledged is not held back until the client's
+//! delayed ACK. Kernel and registry state live behind one mutex — the
+//! kernel is single-threaded by design, so the pool buys *I/O*
 //! concurrency (thousands of idle connections are cheap) while dispatch
 //! stays serialized and deterministic. An optional ticker thread drives
 //! [`SurfOS::step`] so registered services actually get scheduled and
@@ -43,13 +50,14 @@
 use crate::rpc::frame::{write_frame, FrameBuf};
 use crate::rpc::proto::{ProtoError, Request, RequestEnvelope, Response, PROTOCOL_VERSION};
 use crate::SurfOS;
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
 use surfos_broker::registry::TenantRegistry;
@@ -271,10 +279,27 @@ enum Conn {
 }
 
 impl Conn {
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+    /// Readies an accepted connection for a session: nonblocking, and for
+    /// TCP no Nagle. A response is already one frame per `write`, so
+    /// coalescing gains nothing, while holding a small answer back until
+    /// the previous one is acknowledged costs the client's delayed-ACK
+    /// timeout (up to 40 ms) whenever two answers are pipelined.
+    fn prepare(&self) -> io::Result<()> {
         match self {
-            Conn::Tcp(s) => s.set_nonblocking(nb),
-            Conn::Unix(s) => s.set_nonblocking(nb),
+            Conn::Tcp(s) => {
+                s.set_nonblocking(true)?;
+                s.set_nodelay(true)
+            }
+            Conn::Unix(s) => s.set_nonblocking(true),
+        }
+    }
+}
+
+impl AsRawFd for Conn {
+    fn as_raw_fd(&self) -> RawFd {
+        match self {
+            Conn::Tcp(s) => s.as_raw_fd(),
+            Conn::Unix(s) => s.as_raw_fd(),
         }
     }
 }
@@ -362,12 +387,101 @@ impl Session {
     fn flushed(&self) -> bool {
         self.out_pos == self.outbuf.len()
     }
+
+    /// What the worker waits for on this session: more requests unless it
+    /// is closing, and room to write while queued answers are unflushed.
+    fn interest(&self) -> PollFd {
+        let mut events = if self.closing { 0 } else { POLLIN };
+        if !self.flushed() {
+            events |= POLLOUT;
+        }
+        PollFd::new(self.conn.as_raw_fd(), events)
+    }
+}
+
+/// One `struct pollfd`, as `poll(2)` takes it.
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 0x001;
+const POLLOUT: i16 = 0x004;
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: std::os::raw::c_int) -> i32;
+}
+
+impl PollFd {
+    fn new(fd: RawFd, events: i16) -> Self {
+        PollFd {
+            fd,
+            events,
+            revents: 0,
+        }
+    }
+
+    /// Whether `poll` reported anything on this fd (including hang-up or
+    /// error, which it reports whatever was asked for).
+    fn ready(&self) -> bool {
+        self.revents != 0
+    }
+}
+
+/// Blocks until at least one of `fds` is ready; there is no timeout,
+/// because every reason to wake arrives as a byte on some descriptor. A
+/// `poll` that fails for any reason but a signal marks every fd ready, so
+/// the caller degrades to a full nonblocking sweep instead of stalling.
+fn wait(fds: &mut [PollFd]) {
+    loop {
+        // SAFETY: `fds` is a live, exclusively borrowed slice of
+        // `#[repr(C)]` pollfd records and `nfds` is its exact length.
+        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::os::raw::c_ulong, -1) };
+        if n >= 0 {
+            return;
+        }
+        if io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
+            for fd in fds.iter_mut() {
+                fd.revents = POLLIN;
+            }
+            return;
+        }
+    }
+}
+
+/// A thread's wake descriptor: `(write end, read end)` of a nonblocking
+/// socket pair. The thread polls the read end beside its sockets; one
+/// byte written to the write end ends its wait.
+fn wake_pair() -> io::Result<(Arc<UnixStream>, UnixStream)> {
+    let (tx, rx) = UnixStream::pair()?;
+    tx.set_nonblocking(true)?;
+    rx.set_nonblocking(true)?;
+    Ok((Arc::new(tx), rx))
+}
+
+/// Wakes the thread polling the other end of `tx`. A full buffer means a
+/// wake is already pending, so a failed write loses nothing.
+fn wake(tx: &UnixStream) {
+    let _ = (&*tx).write(&[1]);
+}
+
+/// Empties a wake descriptor so the next `poll` blocks again.
+fn drain_wakes(rx: &UnixStream) {
+    let mut buf = [0u8; 64];
+    while matches!((&*rx).read(&mut buf), Ok(n) if n > 0) {}
 }
 
 /// A running daemon. Dropping it (or calling [`stop`](Server::stop))
 /// shuts the listeners, closes every session and joins the threads.
 pub struct Server {
     stop: Arc<AtomicBool>,
+    /// Write ends of the acceptor's and every worker's wake descriptor.
+    wakers: Vec<Arc<UnixStream>>,
+    /// The ticker waits on this between heartbeats; dropping it ends the
+    /// wait at once.
+    ticker: Option<Sender<()>>,
     handles: Vec<std::thread::JoinHandle<()>>,
     tcp_addr: Option<SocketAddr>,
     unix_path: Option<PathBuf>,
@@ -403,48 +517,58 @@ impl Server {
 
         let state = Arc::new(Mutex::new(Dispatcher::new(kernel, &opts)));
         let stop = Arc::new(AtomicBool::new(false));
-        let inbox: Arc<Mutex<VecDeque<Session>>> = Arc::new(Mutex::new(VecDeque::new()));
         let live = Arc::new(AtomicUsize::new(0));
         let workers = if opts.workers > 0 {
             opts.workers
         } else {
             surfos_channel::par::configured_threads().min(8)
         };
+        // Every wake descriptor exists before any thread does, so a failed
+        // `socketpair` leaves nothing running.
+        let (accept_waker, accept_wake) = wake_pair()?;
+        let worker_wakes = (0..workers)
+            .map(|_| wake_pair())
+            .collect::<io::Result<Vec<_>>>()?;
 
+        let mut wakers = vec![accept_waker];
+        let mut handoff = Vec::with_capacity(workers);
         let mut handles = Vec::new();
+        for (w, (waker, wake_rx)) in worker_wakes.into_iter().enumerate() {
+            let (to_worker, inbox) = mpsc::channel();
+            handoff.push((to_worker, waker.clone()));
+            wakers.push(waker);
+            let (stop, live, state) = (stop.clone(), live.clone(), state.clone());
+            handles.push(
+                std::thread::Builder::new()
+                    .name(format!("rpc-worker-{w}"))
+                    .spawn(move || worker_loop(&stop, &wake_rx, &inbox, &live, &state))
+                    .expect("spawn worker"),
+            );
+        }
         {
-            let (stop, inbox, live) = (stop.clone(), inbox.clone(), live.clone());
+            let (stop, live) = (stop.clone(), live.clone());
             let max_conns = opts.max_conns;
             handles.push(
                 std::thread::Builder::new()
                     .name("rpc-accept".into())
-                    .spawn(move || accept_loop(tcp, unix, &stop, &inbox, &live, max_conns))
+                    .spawn(move || {
+                        accept_loop(tcp, unix, &accept_wake, &stop, &handoff, &live, max_conns)
+                    })
                     .expect("spawn acceptor"),
             );
         }
-        for w in 0..workers {
-            let (stop, inbox, live, state) =
-                (stop.clone(), inbox.clone(), live.clone(), state.clone());
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("rpc-worker-{w}"))
-                    .spawn(move || worker_loop(&stop, &inbox, &live, &state, workers))
-                    .expect("spawn worker"),
-            );
-        }
-        if opts.tick_ms > 0 {
-            let (stop, state) = (stop.clone(), state.clone());
-            let tick = Duration::from_millis(opts.tick_ms);
+        let ticker = (opts.tick_ms > 0).then(|| {
+            let (ticker, stopped) = mpsc::channel::<()>();
+            let state = state.clone();
             let dt = opts.tick_ms;
+            let tick = Duration::from_millis(dt);
             handles.push(
                 std::thread::Builder::new()
                     .name("rpc-ticker".into())
                     .spawn(move || {
-                        while !stop.load(Ordering::Relaxed) {
-                            std::thread::sleep(tick);
-                            if stop.load(Ordering::Relaxed) {
-                                break;
-                            }
+                        // A timeout is the next heartbeat; a disconnect
+                        // (the server dropped its end) is shutdown.
+                        while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
                             let _span = obs::span!("daemon.tick");
                             let mut st = lock_state(&state);
                             let step = panic::catch_unwind(AssertUnwindSafe(|| {
@@ -457,10 +581,13 @@ impl Server {
                     })
                     .expect("spawn ticker"),
             );
-        }
+            ticker
+        });
 
         Ok(Server {
             stop,
+            wakers,
+            ticker,
             handles,
             tcp_addr,
             unix_path: opts.unix,
@@ -484,13 +611,18 @@ impl Server {
     }
 
     /// Stops the daemon: listeners close, every session is dropped,
-    /// threads join, the unix socket file is removed.
+    /// threads join, the unix socket file is removed. Returns promptly
+    /// however long the heartbeat period is.
     pub fn stop(mut self) {
         self.shutdown();
     }
 
     fn shutdown(&mut self) {
-        self.stop.store(true, Ordering::Relaxed);
+        self.stop.store(true, Ordering::SeqCst);
+        self.ticker = None;
+        for waker in &self.wakers {
+            wake(waker);
+        }
         for h in self.handles.drain(..) {
             let _ = h.join();
         }
@@ -506,21 +638,31 @@ impl Drop for Server {
     }
 }
 
-/// How long idle loops sleep between sweeps. Short enough that a request
-/// round-trip stays well under a millisecond of added latency.
-const IDLE_SLEEP: Duration = Duration::from_micros(200);
+/// A worker's handoff: its session inbox and the write end of its wake
+/// descriptor.
+type Handoff = (Sender<Session>, Arc<UnixStream>);
 
 fn accept_loop(
     tcp: Option<TcpListener>,
     unix: Option<UnixListener>,
+    wake_rx: &UnixStream,
     stop: &AtomicBool,
-    inbox: &Mutex<VecDeque<Session>>,
+    workers: &[Handoff],
     live: &AtomicUsize,
     max_conns: usize,
 ) {
+    let mut fds = vec![PollFd::new(wake_rx.as_raw_fd(), POLLIN)];
+    fds.extend(tcp.iter().map(|l| PollFd::new(l.as_raw_fd(), POLLIN)));
+    fds.extend(unix.iter().map(|l| PollFd::new(l.as_raw_fd(), POLLIN)));
     let mut conn_seq: u64 = 0;
-    while !stop.load(Ordering::Relaxed) {
-        let mut accepted = false;
+    loop {
+        wait(&mut fds);
+        if fds[0].ready() {
+            drain_wakes(wake_rx);
+            if stop.load(Ordering::SeqCst) {
+                return;
+            }
+        }
         let mut incoming: Vec<Conn> = Vec::new();
         if let Some(l) = &tcp {
             while let Ok((s, _)) = l.accept() {
@@ -533,7 +675,6 @@ fn accept_loop(
             }
         }
         for mut conn in incoming {
-            accepted = true;
             if live.load(Ordering::Relaxed) >= max_conns {
                 // Over the connection cap: structured rejection, then
                 // close. The peer gets an answer, not a hang.
@@ -545,46 +686,57 @@ fn accept_loop(
                 let _ = write_frame(&mut conn, &body);
                 continue;
             }
-            if conn.set_nonblocking(true).is_err() {
+            if conn.prepare().is_err() {
                 continue;
             }
             conn_seq += 1;
             live.fetch_add(1, Ordering::Relaxed);
             obs::add("rpc.conns.opened", 1);
             obs::gauge("rpc.conns.live", live.load(Ordering::Relaxed) as f64);
-            inbox
-                .lock()
-                .expect("inbox lock")
-                .push_back(Session::new(conn, conn_seq));
-        }
-        if !accepted {
-            std::thread::sleep(IDLE_SLEEP);
+            // Round robin; the wake goes after the push, so the worker
+            // finds the session when its `poll` returns.
+            let (inbox, waker) = &workers[(conn_seq % workers.len() as u64) as usize];
+            match inbox.send(Session::new(conn, conn_seq)) {
+                Ok(()) => wake(waker),
+                // That worker is gone; the connection closes with the
+                // returned session.
+                Err(_) => {
+                    live.fetch_sub(1, Ordering::Relaxed);
+                }
+            }
         }
     }
 }
 
 fn worker_loop(
     stop: &AtomicBool,
-    inbox: &Mutex<VecDeque<Session>>,
+    wake_rx: &UnixStream,
+    inbox: &Receiver<Session>,
     live: &AtomicUsize,
     state: &Mutex<Dispatcher>,
-    workers: usize,
 ) {
     let mut sessions: Vec<Session> = Vec::new();
+    let mut fds: Vec<PollFd> = Vec::new();
     let mut scratch = [0u8; 4096];
-    while !stop.load(Ordering::Relaxed) {
-        // Adopt a fair share of newly accepted connections.
-        {
-            let mut q = inbox.lock().expect("inbox lock");
-            let take = q.len().div_ceil(workers).min(q.len());
-            for _ in 0..take {
-                sessions.push(q.pop_front().expect("len checked"));
+    loop {
+        fds.clear();
+        fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
+        fds.extend(sessions.iter().map(Session::interest));
+        wait(&mut fds);
+        if fds[0].ready() {
+            drain_wakes(wake_rx);
+            if stop.load(Ordering::SeqCst) {
+                return;
             }
+            // Adopt the connections handed over; the next `poll` reports
+            // whatever they have already sent.
+            sessions.extend(inbox.try_iter());
         }
 
-        let mut active = false;
-        for s in &mut sessions {
-            active |= sweep_session(s, state, &mut scratch);
+        for (s, fd) in sessions.iter_mut().zip(&fds[1..]) {
+            if fd.ready() {
+                sweep_session(s, state, &mut scratch);
+            }
         }
 
         // Drop closed sessions, tearing down their auto tenants.
@@ -609,18 +761,13 @@ fn worker_loop(
                 }
             }
         }
-
-        if !active {
-            std::thread::sleep(IDLE_SLEEP);
-        }
     }
 }
 
-/// One sweep over one session: drain readable bytes, serve every complete
-/// frame, flush. Returns true if any bytes moved (the worker skips its
-/// idle sleep).
-fn sweep_session(s: &mut Session, state: &Mutex<Dispatcher>, scratch: &mut [u8]) -> bool {
-    let mut moved = false;
+/// One sweep over one session that `poll` reported ready: drain readable
+/// bytes (at most [`READ_QUANTUM`]; a session with more is ready again on
+/// the next `poll`), serve every complete frame, flush.
+fn sweep_session(s: &mut Session, state: &Mutex<Dispatcher>, scratch: &mut [u8]) {
     if !s.closing {
         let mut drained = 0;
         loop {
@@ -630,7 +777,6 @@ fn sweep_session(s: &mut Session, state: &Mutex<Dispatcher>, scratch: &mut [u8])
                     break;
                 }
                 Ok(n) => {
-                    moved = true;
                     s.inbuf.extend(&scratch[..n]);
                     drained += n;
                     if drained >= READ_QUANTUM {
@@ -652,10 +798,7 @@ fn sweep_session(s: &mut Session, state: &Mutex<Dispatcher>, scratch: &mut [u8])
     // and nobody left to answer.
     loop {
         match s.inbuf.next_frame() {
-            Ok(Some(body)) => {
-                moved = true;
-                serve_frame(s, state, &body);
-            }
+            Ok(Some(body)) => serve_frame(s, state, &body),
             Ok(None) => break,
             // Framing is unrecoverable (we cannot resync a byte stream
             // with a hostile length prefix): answer once, then close.
@@ -677,7 +820,6 @@ fn sweep_session(s: &mut Session, state: &Mutex<Dispatcher>, scratch: &mut [u8])
         s.outbuf.clear();
         s.out_pos = 0;
     }
-    moved
 }
 
 /// The kernel lock. A poisoned lock is recovered, not propagated: a
@@ -692,6 +834,9 @@ fn lock_state(state: &Mutex<Dispatcher>) -> MutexGuard<'_, Dispatcher> {
 /// the response.
 fn serve_frame(s: &mut Session, state: &Mutex<Dispatcher>, body: &str) {
     let t0 = Instant::now();
+    // Decode finished → kernel lock held: the wait behind a heartbeat or
+    // another worker's dispatch. Timed only while obs records.
+    let mut lock_wait = None;
     let (id, op, response) = match RequestEnvelope::decode(body) {
         Ok(env) => {
             if !s.bound {
@@ -702,7 +847,9 @@ fn serve_frame(s: &mut Session, state: &Mutex<Dispatcher>, body: &str) {
                 s.bound = true;
             }
             let op = env.request.op();
+            let decoded = obs::enabled().then(Instant::now);
             let mut st = lock_state(state);
+            lock_wait = decoded.map(|t| t.elapsed());
             let response =
                 panic::catch_unwind(AssertUnwindSafe(|| st.dispatch(&s.tenant, &env.request)))
                     .unwrap_or_else(|_| {
@@ -717,6 +864,9 @@ fn serve_frame(s: &mut Session, state: &Mutex<Dispatcher>, body: &str) {
     };
     let _op_label = obs::scoped(&[("op", op)]);
     obs::observe_ns("rpc.request_ns", t0.elapsed().as_nanos() as u64);
+    if let Some(wait) = lock_wait {
+        obs::observe_ns("rpc.stage.lock_wait_ns", wait.as_nanos() as u64);
+    }
     obs::add("rpc.requests", 1);
     match &response {
         Response::Rejected { .. } => obs::add("rpc.rejected", 1),
@@ -729,6 +879,7 @@ fn serve_frame(s: &mut Session, state: &Mutex<Dispatcher>, body: &str) {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::rpc::frame::{encode_frame, read_frame};
     use surfos_channel::ChannelSim;
     use surfos_em::band::NamedBand;
     use surfos_geometry::scenario::two_room_apartment;
@@ -786,6 +937,122 @@ mod tests {
         };
         assert!(matches!(answer(), (1, Response::Pong { .. })));
         assert!(matches!(answer(), (2, Response::Channel { .. })));
+    }
+
+    /// A loopback TCP pair: the client end, and the daemon end as the
+    /// accept path leaves it.
+    fn accepted_pair() -> (TcpStream, Conn) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
+        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
+        let conn = Conn::Tcp(listener.accept().expect("accept").0);
+        conn.prepare().expect("prepare");
+        (client, conn)
+    }
+
+    #[test]
+    fn accept_path_turns_nagle_off() {
+        let (_client, conn) = accepted_pair();
+        let Conn::Tcp(stream) = &conn else {
+            unreachable!()
+        };
+        assert!(stream.nodelay().unwrap());
+    }
+
+    #[test]
+    fn stop_does_not_wait_for_the_next_heartbeat() {
+        let server = Server::start(
+            kernel(),
+            ServeOptions {
+                tick_ms: 10_000,
+                workers: 2,
+                ..ServeOptions::default()
+            },
+        )
+        .expect("bind loopback");
+        let t0 = Instant::now();
+        server.stop();
+        assert!(t0.elapsed() < Duration::from_secs(1), "{:?}", t0.elapsed());
+    }
+
+    /// Two pipelined answers written one after the other while the first
+    /// is unacknowledged: the second must leave at once. With Nagle on it
+    /// waits for the client's ACK, which the client delays (up to 40 ms)
+    /// because it has nothing to send until that answer arrives. The
+    /// kernel lock is held so the worker reads the first request alone
+    /// and the second arrives before the first answer leaves.
+    #[test]
+    fn second_pipelined_answer_is_not_held_for_a_delayed_ack() {
+        let (mut client, conn) = accepted_pair();
+        client.set_nodelay(true).unwrap();
+        client
+            .set_read_timeout(Some(Duration::from_secs(10)))
+            .unwrap();
+        let Conn::Tcp(daemon_end) = &conn else {
+            unreachable!()
+        };
+        let daemon_end = daemon_end.try_clone().unwrap();
+        // Spins until the daemon end has (or no longer has) unread bytes.
+        let await_pending = |want: bool| {
+            let deadline = Instant::now() + Duration::from_secs(10);
+            while matches!(daemon_end.peek(&mut [0u8; 1]), Ok(n) if n > 0) != want {
+                assert!(Instant::now() < deadline, "worker never read");
+            }
+        };
+
+        let state = Arc::new(Mutex::new(dispatcher(8, 4)));
+        let (stop, live) = (
+            Arc::new(AtomicBool::new(false)),
+            Arc::new(AtomicUsize::new(1)),
+        );
+        let (waker, wake_rx) = wake_pair().unwrap();
+        let (to_worker, inbox) = mpsc::channel();
+        to_worker.send(Session::new(conn, 1)).unwrap();
+        wake(&waker);
+        let worker = {
+            let (stop, live, state) = (stop.clone(), live.clone(), state.clone());
+            std::thread::spawn(move || worker_loop(&stop, &wake_rx, &inbox, &live, &state))
+        };
+
+        let mut id = 0;
+        let mut call = |client: &mut TcpStream| {
+            id += 1;
+            let frame = encode_frame(&RequestEnvelope::new(id, Request::Ping).encode());
+            client.write_all(&frame).unwrap();
+            id
+        };
+        let answer = |client: &mut TcpStream, want: u64| {
+            let body = read_frame(client).unwrap().expect("an answer");
+            assert_eq!(Response::decode(&body).unwrap().0, want);
+        };
+        // Plain round trips first: they put the client's TCP into its
+        // interactive mode, where it delays lone ACKs.
+        for _ in 0..8 {
+            let id = call(&mut client);
+            answer(&mut client, id);
+        }
+        let mut waits: Vec<Duration> = (0..10)
+            .map(|_| {
+                let held = state.lock().unwrap();
+                let first = call(&mut client);
+                await_pending(false); // the worker took it and waits on the lock
+                let second = call(&mut client);
+                await_pending(true); // queued behind the first
+                let t0 = Instant::now();
+                drop(held);
+                answer(&mut client, first);
+                answer(&mut client, second);
+                t0.elapsed()
+            })
+            .collect();
+        stop.store(true, Ordering::SeqCst);
+        wake(&waker);
+        worker.join().unwrap();
+        waits.sort();
+        let median = waits[waits.len() / 2];
+        assert!(
+            median < Duration::from_millis(20),
+            "median {median:?}, all {waits:?}"
+        );
     }
 
     #[test]

@@ -63,6 +63,13 @@ SURFOS_THREADS=1 cargo test -q -p surfos-orchestrator -p surfos-sensing
 # more gradient chunks than threads, claimed in several orders.
 SURFOS_THREADS=3 cargo test -q -p surfos-orchestrator --lib fused_
 
+# Daemon wake gate: the wire tests and the idle-CPU test with one session
+# worker (every handoff wakes the same parked worker) and with three (the
+# acceptor's round robin across several wake descriptors).
+for threads in 1 3; do
+  SURFOS_THREADS="$threads" cargo test -q -p surfos --test service_plane --test daemon_idle
+done
+
 # Shard-equivalence gate: the sharded kernel must stay bit-identical to a
 # flat single-scene evaluation even with the worker pool forced serial, so
 # a result that silently depends on thread count cannot land.
@@ -118,4 +125,4 @@ SURFOS_METRICS_CHECK="$metrics_tmp" \
 # via #![warn(missing_docs)]) fail the build, not just warn.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), fused step (3 threads), shard equivalence (serial), e2ebench build + tests, trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
+echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), fused step (3 threads), daemon wake (1 and 3 workers), shard equivalence (serial), e2ebench build + tests, trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"

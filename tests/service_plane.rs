@@ -484,3 +484,64 @@ fn heartbeat_on_a_kernel_without_an_access_point_keeps_serving() {
     ));
     server.stop();
 }
+
+#[test]
+fn pipelined_pair_is_not_held_back_by_nagle() {
+    // Two requests back to back, one write each: the second answer must
+    // not wait for the client to ACK the first. With Nagle on the
+    // daemon's socket it does whenever the two answers leave in separate
+    // writes, and the client delays that ACK by up to 40 ms because it
+    // has nothing to send until the answer arrives. A worker that reads
+    // both requests at once writes one buffer and hides the stall; the
+    // daemon's unit tests force the separate writes.
+    let server = serve(tcp_opts());
+    let mut c = connect(&server);
+    c.set_nodelay(true).unwrap();
+    let mut waits: Vec<Duration> = (0..20u64)
+        .map(|round| {
+            let t0 = Instant::now();
+            for id in [2 * round + 1, 2 * round + 2] {
+                write_frame(&mut c, &RequestEnvelope::new(id, Request::Ping).encode()).unwrap();
+            }
+            for id in [2 * round + 1, 2 * round + 2] {
+                let (got, resp) = Response::decode(&read_frame(&mut c).unwrap().unwrap()).unwrap();
+                assert_eq!(got, id);
+                assert!(matches!(resp, Response::Pong { .. }), "{resp:?}");
+            }
+            t0.elapsed()
+        })
+        .collect();
+    waits.sort();
+    let median = waits[waits.len() / 2];
+    assert!(
+        median < Duration::from_millis(20),
+        "median time to the second answer {median:?} (all: {waits:?})"
+    );
+    server.stop();
+}
+
+#[test]
+fn a_parked_worker_wakes_for_a_new_connection() {
+    // One worker, already blocked in poll(2) over an idle session: the
+    // next connection reaches it only through the acceptor's wake.
+    let server = serve(ServeOptions {
+        workers: 1,
+        ..tcp_opts()
+    });
+    let mut idle = connect(&server);
+    assert!(matches!(
+        call(&mut idle, &RequestEnvelope::new(1, Request::Ping)),
+        Response::Pong { .. }
+    ));
+    let mut late = connect(&server);
+    assert!(matches!(
+        call(&mut late, &RequestEnvelope::new(2, Request::Ping)),
+        Response::Pong { .. }
+    ));
+    // And the parked session is still served after the handoff.
+    assert!(matches!(
+        call(&mut idle, &RequestEnvelope::new(3, Request::Ping)),
+        Response::Pong { .. }
+    ));
+    server.stop();
+}
