@@ -101,9 +101,7 @@ fn bench_frequency_response_building(c: &mut Criterion) {
     let band = NamedBand::MmWave28GHz.band();
     // One trace of the 4064-wall building, then a 64-point subcarrier
     // sweep: the trace exercises the packet/prefilter geometry once, the
-    // sweep exercises the SoA phasor re-phasing 64 times. The scalar
-    // reference arm (`sweep_evaluate_scalar`) rides along to keep the
-    // AoS → SoA separation visible in the numbers.
+    // sweep exercises the SoA phasor re-phasing 64 times.
     let (floors, rooms) = BUILDINGS[1];
     let plan = building_plan(floors, rooms, SCENE_SEED);
     let n = plan.walls().len();
@@ -115,8 +113,8 @@ fn bench_frequency_response_building(c: &mut Criterion) {
     group.bench_function(format!("sweep64_{n}w"), |b| {
         b.iter(|| black_box(sim.frequency_response(&tx, &rx, 64)))
     });
-    // Sweep-only arms on a pre-computed trace: the rephase hot loop with
-    // the trace cost excluded, SoA vs the scalar reference.
+    // Sweep-only arm on a pre-computed trace: the rephase hot loop with
+    // the trace cost excluded.
     let trace = sim.trace(&tx, &rx);
     let responses = sim.responses();
     let (lo, hi) = (band.low_hz(), band.high_hz());
@@ -128,9 +126,6 @@ fn bench_frequency_response_building(c: &mut Criterion) {
         .collect();
     group.bench_function(format!("rephase64_soa_{n}w"), |b| {
         b.iter(|| black_box(trace.sweep_evaluate(&probes, &responses)))
-    });
-    group.bench_function(format!("rephase64_scalar_{n}w"), |b| {
-        b.iter(|| black_box(trace.sweep_evaluate_scalar(&probes, &responses)))
     });
     group.finish();
 }

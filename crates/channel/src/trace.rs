@@ -542,7 +542,7 @@ impl ChannelTrace {
     /// `surfos_em::simd::phasor`, so each probe's sum + advance is a
     /// vectorizable streaming pass instead of a pointer-chasing `Complex`
     /// loop. **Equivalence policy** versus the scalar reference arm
-    /// ([`Self::sweep_evaluate_scalar`]): every per-path value — phasor
+    /// (`sweep_evaluate_scalar`, test-only): every per-path value — phasor
     /// rotations, Friis magnitudes, material losses, gates — is computed
     /// by the same operations in the same order and is bit-identical; only
     /// the *sums across paths/elements* are reassociated into the kernels'
@@ -754,10 +754,14 @@ impl ChannelTrace {
 
     /// Scalar reference arm of [`Self::sweep_evaluate`]: one rotating
     /// `Complex` per path element, strict left-to-right accumulation.
-    /// Kept (and exercised by the equivalence tests) to pin the SoA arm's
-    /// reassociation bound; production callers should use
-    /// [`Self::sweep_evaluate`].
-    pub fn sweep_evaluate_scalar(&self, bands: &[Band], responses: &[&[Complex]]) -> Vec<Complex> {
+    /// Test-only: the equivalence test pins the SoA arm's reassociation
+    /// bound against it.
+    #[cfg(test)]
+    pub(crate) fn sweep_evaluate_scalar(
+        &self,
+        bands: &[Band],
+        responses: &[&[Complex]],
+    ) -> Vec<Complex> {
         if bands.len() < 2 {
             // `linearize_at` does the re-phasing accounting on this path.
             return bands

@@ -31,7 +31,9 @@
 //! concurrency (thousands of idle connections are cheap) while dispatch
 //! stays serialized and deterministic. An optional ticker thread drives
 //! [`SurfOS::step`] so registered services actually get scheduled and
-//! optimized while the daemon serves.
+//! optimized while the daemon serves. The step holds the kernel lock; once
+//! the live task set has settled, each slot hits the orchestrator's memo
+//! and runs no Adam, so that hold is short.
 //!
 //! A panic costs one request, not the daemon: each dispatch runs under
 //! `catch_unwind` and answers `Error` (counted in `rpc.panics`), a
@@ -60,7 +62,7 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::{Duration, Instant};
-use surfos_broker::registry::TenantRegistry;
+use surfos_broker::registry::{RegistryError, TenantRegistry};
 use surfos_obs as obs;
 use surfos_orchestrator::ServiceRequest;
 
@@ -135,7 +137,14 @@ impl Dispatcher {
     /// failure mode maps to a `Rejected` (admission) or `Error` (caller
     /// mistake) response.
     pub fn dispatch(&mut self, tenant: &str, request: &Request) -> Response {
-        match request {
+        self.answer(tenant, request)
+            .unwrap_or_else(Rejection::into_response)
+    }
+
+    /// [`dispatch`](Self::dispatch), with a refused admission kept apart
+    /// so the session can count it under its reason.
+    fn answer(&mut self, tenant: &str, request: &Request) -> Result<Response, Rejection> {
+        Ok(match request {
             Request::Ping => Response::Pong {
                 version: PROTOCOL_VERSION,
                 tenant: tenant.to_owned(),
@@ -144,7 +153,7 @@ impl Dispatcher {
                 kind,
                 subject,
                 value,
-            } => self.register(tenant, kind, subject, *value),
+            } => self.register(tenant, kind, subject, *value)?,
             Request::ReleaseService { service } => match self.registry.release(tenant, *service) {
                 Ok(lease) => {
                     self.kernel.orchestrator_mut().retire(lease.task);
@@ -154,7 +163,7 @@ impl Dispatcher {
                     message: e.to_string(),
                 },
             },
-            Request::SubmitIntent { utterance } => self.intent(tenant, utterance),
+            Request::SubmitIntent { utterance } => self.intent(tenant, utterance)?,
             Request::QueryChannel { tx, rx } => self.query(tx, rx),
             Request::Metrics { deterministic } => {
                 let snap = crate::telemetry::metrics_snapshot();
@@ -166,47 +175,49 @@ impl Dispatcher {
                     },
                 }
             }
-        }
+        })
     }
 
     /// The admission gate shared by register and intent: a kernel that
     /// cannot run any task rejects now rather than queue forever
     /// ([`Orchestrator::admission_error`](surfos_orchestrator::Orchestrator::admission_error)),
     /// then the tenant ledger checks capacity and quota.
-    fn admission_reject(&self, tenant: &str) -> Option<Response> {
-        let reason = match self.kernel.orchestrator().admission_error() {
-            Some(reason) => reason.to_owned(),
-            None => self.registry.admit(tenant).err()?.to_string(),
-        };
-        Some(Response::Rejected { reason })
+    fn admission(&self, tenant: &str) -> Result<(), Rejection> {
+        match self.kernel.orchestrator().admission_error() {
+            Some(reason) => Err(Rejection {
+                label: "grid",
+                text: reason.to_owned(),
+            }),
+            None => self.registry.admit(tenant).map_err(Rejection::from),
+        }
     }
 
-    fn register(&mut self, tenant: &str, kind: &str, subject: &str, value: f64) -> Response {
-        if let Some(reject) = self.admission_reject(tenant) {
-            return reject;
-        }
+    fn register(
+        &mut self,
+        tenant: &str,
+        kind: &str,
+        subject: &str,
+        value: f64,
+    ) -> Result<Response, Rejection> {
+        self.admission(tenant)?;
         let request = match ServiceRequest::from_kind(kind, subject, value) {
             Ok(request) => request,
-            Err(message) => return Response::Error { message },
+            Err(message) => return Ok(Response::Error { message }),
         };
         let task = self.kernel.submit(request);
         match self.registry.register(tenant, kind, task) {
-            Ok(service) => Response::Registered { service, task },
+            Ok(service) => Ok(Response::Registered { service, task }),
             // admit() passed above; a race is impossible under the state
             // mutex, but fail closed: retire the freshly admitted task.
             Err(e) => {
                 self.kernel.orchestrator_mut().retire(task);
-                Response::Rejected {
-                    reason: e.to_string(),
-                }
+                Err(e.into())
             }
         }
     }
 
-    fn intent(&mut self, tenant: &str, utterance: &str) -> Response {
-        if let Some(reject) = self.admission_reject(tenant) {
-            return reject;
-        }
+    fn intent(&mut self, tenant: &str, utterance: &str) -> Result<Response, Rejection> {
+        self.admission(tenant)?;
         let mut admitted = Vec::new();
         for task in self.kernel.handle_utterance(utterance) {
             match self.registry.register(tenant, "intent", task) {
@@ -216,7 +227,7 @@ impl Dispatcher {
                 Err(_) => self.kernel.orchestrator_mut().retire(task),
             }
         }
-        Response::IntentTasks { tasks: admitted }
+        Ok(Response::IntentTasks { tasks: admitted })
     }
 
     fn query(&mut self, tx: &str, rx: &str) -> Response {
@@ -238,6 +249,35 @@ impl Dispatcher {
     fn teardown(&mut self, tenant: &str) {
         for lease in self.registry.release_tenant(tenant) {
             self.kernel.orchestrator_mut().retire(lease.task);
+        }
+    }
+}
+
+/// A refused admission: the `Rejected` answer's text, and the bounded
+/// `reason` label `rpc.rejected` is counted under (`grid`, `quota`,
+/// `capacity`; never the tenant).
+struct Rejection {
+    label: &'static str,
+    text: String,
+}
+
+impl Rejection {
+    fn into_response(self) -> Response {
+        Response::Rejected { reason: self.text }
+    }
+}
+
+impl From<RegistryError> for Rejection {
+    fn from(e: RegistryError) -> Self {
+        let label = match e {
+            RegistryError::TenantQuota { .. } => "quota",
+            RegistryError::Capacity { .. } => "capacity",
+            // Only a release fails this way, and a release answers `Error`.
+            RegistryError::NotOwner { .. } => "owner",
+        };
+        Rejection {
+            label,
+            text: e.to_string(),
         }
     }
 }
@@ -679,6 +719,10 @@ fn accept_loop(
                 // Over the connection cap: structured rejection, then
                 // close. The peer gets an answer, not a hang.
                 obs::add("rpc.conns.over_capacity", 1);
+                {
+                    let _reason = obs::scoped(&[("reason", "conn_cap")]);
+                    obs::add("rpc.rejected", 1);
+                }
                 let body = Response::Rejected {
                     reason: format!("connection limit reached ({max_conns})"),
                 }
@@ -837,7 +881,7 @@ fn serve_frame(s: &mut Session, state: &Mutex<Dispatcher>, body: &str) {
     // Decode finished → kernel lock held: the wait behind a heartbeat or
     // another worker's dispatch. Timed only while obs records.
     let mut lock_wait = None;
-    let (id, op, response) = match RequestEnvelope::decode(body) {
+    let (id, op, answer) = match RequestEnvelope::decode(body) {
         Ok(env) => {
             if !s.bound {
                 if let Some(claim) = &env.tenant {
@@ -850,17 +894,17 @@ fn serve_frame(s: &mut Session, state: &Mutex<Dispatcher>, body: &str) {
             let decoded = obs::enabled().then(Instant::now);
             let mut st = lock_state(state);
             lock_wait = decoded.map(|t| t.elapsed());
-            let response =
-                panic::catch_unwind(AssertUnwindSafe(|| st.dispatch(&s.tenant, &env.request)))
+            let answer =
+                panic::catch_unwind(AssertUnwindSafe(|| st.answer(&s.tenant, &env.request)))
                     .unwrap_or_else(|_| {
                         obs::add("rpc.panics", 1);
-                        Response::Error {
+                        Ok(Response::Error {
                             message: format!("internal error serving `{op}`"),
-                        }
+                        })
                     });
-            (env.id, op, response)
+            (env.id, op, answer)
         }
-        Err(ProtoError(message)) => (0, "invalid", Response::Error { message }),
+        Err(ProtoError(message)) => (0, "invalid", Ok(Response::Error { message })),
     };
     let _op_label = obs::scoped(&[("op", op)]);
     obs::observe_ns("rpc.request_ns", t0.elapsed().as_nanos() as u64);
@@ -868,11 +912,19 @@ fn serve_frame(s: &mut Session, state: &Mutex<Dispatcher>, body: &str) {
         obs::observe_ns("rpc.stage.lock_wait_ns", wait.as_nanos() as u64);
     }
     obs::add("rpc.requests", 1);
-    match &response {
-        Response::Rejected { .. } => obs::add("rpc.rejected", 1),
-        Response::Error { .. } => obs::add("rpc.errors", 1),
-        _ => {}
-    }
+    let response = match answer {
+        Ok(response) => {
+            if let Response::Error { .. } = response {
+                obs::add("rpc.errors", 1);
+            }
+            response
+        }
+        Err(rejection) => {
+            let _reason = obs::scoped(&[("reason", rejection.label)]);
+            obs::add("rpc.rejected", 1);
+            rejection.into_response()
+        }
+    };
     s.queue(&response.encode(id));
 }
 

@@ -7,7 +7,8 @@
 //! 2. schedule the frame — live tasks get time × frequency × surface
 //!    slices, shareable tasks grouped for joint optimization;
 //! 3. optimize — each occupied time slot gets a jointly optimized
-//!    multi-surface configuration (analytic-gradient Adam);
+//!    multi-surface configuration (analytic-gradient Adam), or the one it
+//!    got last time when none of Adam's inputs changed (an exact memo);
 //! 4. actuate — configurations travel the *real* driver path: encoded to
 //!    the binary wire format, decoded at the surface controller, written
 //!    into the slot store after the design's control delay, projected to
@@ -44,7 +45,8 @@ pub struct StepReport {
     pub reaped: Vec<TaskId>,
     /// Tasks the scheduler could not admit this frame.
     pub rejected: Vec<TaskId>,
-    /// Time slots that received a fresh joint optimization.
+    /// Time slots configured this step, by a fresh joint optimization or
+    /// its memoized equal.
     pub optimized_slots: Vec<usize>,
     /// Driver pushes that failed (surface id, error). Pushes to
     /// already-fabricated passive surfaces are expected and not listed.
@@ -575,6 +577,24 @@ mod tests {
             os.orchestrator().tasks.get(task).unwrap().state,
             TaskState::Running
         );
+    }
+
+    #[test]
+    fn memo_hit_still_configures_a_steady_heartbeat() {
+        let mut os = boot();
+        os.submit(ServiceRequest::optimize_coverage("bedroom", 25.0));
+        // The first configuration commits after its control delay and the
+        // next heartbeat re-optimizes from the realized phases; after that
+        // nothing Adam reads changes.
+        for _ in 0..3 {
+            os.step(10);
+        }
+        let before = os.telemetry();
+        let report = os.step(10);
+        assert_eq!(report.optimized_slots.len(), 1, "a hit still configures");
+        let after = os.telemetry();
+        assert_eq!(after.optimizations, before.optimizations + 1);
+        assert_eq!(after.configs_pushed, before.configs_pushed, "same config");
     }
 
     #[test]

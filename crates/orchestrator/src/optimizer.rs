@@ -25,7 +25,7 @@ use surfos_em::phase::wrap_phase;
 /// Ties element phases into shared groups per surface: `groups[s]` lists,
 /// for each degree of freedom, the element indices sharing that state.
 /// `None` for a surface means element-wise control.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Tying {
     /// Per-surface grouping; indexed like the response vectors.
     pub groups: Vec<Option<Vec<Vec<usize>>>>,

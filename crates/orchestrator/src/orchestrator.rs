@@ -49,6 +49,9 @@ pub struct Orchestrator {
     endpoints: BTreeMap<String, Endpoint>,
     ap_id: Option<String>,
     now_ms: u64,
+    /// The last optimization of each slot, keyed on its exact
+    /// inputs (one entry per slot).
+    memo: BTreeMap<usize, SlotMemo>,
 }
 
 impl Orchestrator {
@@ -65,6 +68,7 @@ impl Orchestrator {
             endpoints: BTreeMap::new(),
             ap_id: None,
             now_ms: 0,
+            memo: BTreeMap::new(),
         }
     }
 
@@ -414,12 +418,9 @@ impl Orchestrator {
         }
     }
 
-    /// Jointly optimizes the configuration for all tasks scheduled in a
-    /// time slot and applies it to the simulator's surfaces. Returns the
-    /// achieved loss, or `None` when the slot is empty.
-    pub fn optimize_slot(&mut self, slot: usize) -> Option<f64> {
-        let _span = surfos_obs::span!("orchestrator.optimize_slot");
-        let latency_t0 = surfos_obs::enabled().then(std::time::Instant::now);
+    /// The tasks scheduled in `slot`, in task-id order: the order their
+    /// objectives are summed in.
+    fn slot_tasks(&self, slot: usize) -> Vec<TaskId> {
         let mut task_ids: Vec<TaskId> = self
             .slices
             .iter()
@@ -428,31 +429,125 @@ impl Orchestrator {
             .collect();
         task_ids.sort_unstable();
         task_ids.dedup();
+        task_ids
+    }
+
+    /// The part of a slot's memo key that does not depend on the starting
+    /// phases or the tying: the text of every record the slot's
+    /// objectives and `adam` read. Tasks enter by content (kind, subject,
+    /// goal), not by id, in the order their objectives are summed, since
+    /// a float sum depends on its order. `Debug` prints each `f64` in its
+    /// shortest round-tripping form, so two texts are equal only when
+    /// every field is bit-equal (NaN payloads aside).
+    fn slot_inputs(&self, tasks: &[TaskId]) -> String {
+        use std::fmt::Write;
+        let sim = &self.sim;
+        let mut text = format!(
+            "{:?} {:?} {} {} {} {:?}",
+            sim.epochs(),
+            sim.band,
+            sim.enable_wall_reflections,
+            sim.enable_cascades,
+            sim.plan.walls().len(),
+            self.adam_options,
+        );
+        for surface in sim.surfaces() {
+            let _ = write!(text, " {:?}", surface.id);
+        }
+        for &id in tasks {
+            let Some(task) = self.tasks.get(id) else {
+                continue;
+            };
+            let r = &task.request;
+            let _ = write!(
+                text,
+                "\n{:?} {:?} {:?} ap={:?} ",
+                r.kind,
+                r.subject,
+                r.goal,
+                self.serving_ap_for(id)
+            );
+            let _ = match r.kind {
+                ServiceKind::Connectivity | ServiceKind::Powering => {
+                    write!(text, "{:?}", self.endpoints.get(&r.subject))
+                }
+                ServiceKind::Coverage | ServiceKind::Sensing | ServiceKind::Security => {
+                    write!(text, "{:?}", sim.plan.room(&r.subject))
+                }
+            };
+        }
+        text
+    }
+
+    /// The slot's memo key: everything `adam` reads for it.
+    fn slot_key(&self, tasks: &[TaskId]) -> SlotKey {
+        SlotKey {
+            inputs: self.slot_inputs(tasks),
+            tying: self.tying.clone(),
+            start: self
+                .sim
+                .surfaces()
+                .iter()
+                .flat_map(|s| s.response())
+                .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+                .collect(),
+        }
+    }
+
+    /// Jointly optimizes the configuration for all tasks scheduled in a
+    /// time slot and applies it to the simulator's surfaces. Returns the
+    /// achieved loss, or `None` when the slot is empty.
+    ///
+    /// The slot's last optimization is memoized on its exact inputs: when
+    /// none of them changed, its phases are re-applied and its loss
+    /// returned without building the objectives or running Adam
+    /// (`orchestrator.slots_skipped`). Adam is deterministic, so a hit
+    /// returns the bits a re-run would.
+    pub fn optimize_slot(&mut self, slot: usize) -> Option<f64> {
+        let _span = surfos_obs::span!("orchestrator.optimize_slot");
+        let latency_t0 = surfos_obs::enabled().then(std::time::Instant::now);
+        let task_ids = self.slot_tasks(slot);
         if task_ids.is_empty() {
             return None;
         }
 
-        let mut multi = MultiObjective::new();
-        for id in &task_ids {
-            if let Some(obj) = self.objective_for(*id) {
-                multi = multi.with(obj, 1.0);
+        let key = self.slot_key(&task_ids);
+        let memo = match self.memo.remove(&slot).filter(|m| m.key == key) {
+            Some(hit) => {
+                surfos_obs::add("orchestrator.slots_skipped", 1);
+                hit
             }
-        }
-        if multi.is_empty() {
-            return None;
-        }
+            None => {
+                let mut multi = MultiObjective::new();
+                for id in &task_ids {
+                    if let Some(obj) = self.objective_for(*id) {
+                        multi = multi.with(obj, 1.0);
+                    }
+                }
+                if multi.is_empty() {
+                    return None;
+                }
 
-        let initial: Vec<Vec<f64>> = self
-            .sim
-            .surfaces()
-            .iter()
-            .map(|s| s.response().iter().map(|r| r.arg()).collect())
-            .collect();
-        let result = adam(&multi, &initial, &self.tying, self.adam_options);
-        for (s, phases) in result.phases.iter().enumerate() {
+                let initial: Vec<Vec<f64>> = self
+                    .sim
+                    .surfaces()
+                    .iter()
+                    .map(|s| s.response().iter().map(|r| r.arg()).collect())
+                    .collect();
+                let result = adam(&multi, &initial, &self.tying, self.adam_options);
+                SlotMemo {
+                    key,
+                    phases: result.phases,
+                    loss: result.loss,
+                }
+            }
+        };
+        for (s, phases) in memo.phases.iter().enumerate() {
             self.sim.set_surface_phases(s, phases);
         }
-        surfos_obs::gauge("orchestrator.slot.loss", result.loss);
+        let loss = memo.loss;
+        self.memo.insert(slot, memo);
+        surfos_obs::gauge("orchestrator.slot.loss", loss);
         if let Some(t0) = latency_t0 {
             // Per-service-class latency: label by the slot's service kind
             // (or "mixed" for shared slots) so the HDR timer exposes e.g.
@@ -471,7 +566,7 @@ impl Orchestrator {
                 t0.elapsed().as_nanos() as u64,
             );
         }
-        Some(result.loss)
+        Some(loss)
     }
 
     /// Advances time: reaps expired tasks and releases their slices.
@@ -552,6 +647,26 @@ impl Orchestrator {
     }
 }
 
+/// Exactly what `adam` read for one slot: a hit on an equal key returns
+/// the bits a re-run would.
+#[derive(Debug, PartialEq, Eq)]
+struct SlotKey {
+    /// [`Orchestrator::slot_inputs`].
+    inputs: String,
+    /// The granularity tying Adam optimized under.
+    tying: Tying,
+    /// Bit patterns of the starting responses, every surface in order.
+    start: Vec<u64>,
+}
+
+/// One slot's last optimization: its key, and Adam's phases and loss.
+#[derive(Debug)]
+struct SlotMemo {
+    key: SlotKey,
+    phases: Vec<Vec<f64>>,
+    loss: f64,
+}
+
 /// Static label value for a service kind — bounded, never formatted on the
 /// hot path (see `surfos_obs::scoped`).
 fn kind_name(kind: ServiceKind) -> &'static str {
@@ -595,6 +710,161 @@ mod tests {
         orch.add_endpoint(Endpoint::client("laptop", Vec3::new(6.5, 1.5, 1.2)));
         orch.adam_options.iters = 60;
         orch
+    }
+
+    /// Every surface's current response.
+    fn responses(o: &Orchestrator) -> Vec<Vec<surfos_em::complex::Complex>> {
+        o.sim
+            .surfaces()
+            .iter()
+            .map(|s| s.response().to_vec())
+            .collect()
+    }
+
+    /// Puts every surface back to `start`.
+    fn restore(o: &mut Orchestrator, start: &[Vec<surfos_em::complex::Complex>]) {
+        for (s, r) in start.iter().enumerate() {
+            o.sim.set_surface_response(s, r.clone());
+        }
+    }
+
+    /// Bit patterns of every surface's current response.
+    fn surface_bits(o: &Orchestrator) -> Vec<u64> {
+        responses(o)
+            .iter()
+            .flatten()
+            .flat_map(|c| [c.re.to_bits(), c.im.to_bits()])
+            .collect()
+    }
+
+    /// Whether the memo answers `slot` from the orchestrator's state now.
+    fn hits(o: &Orchestrator, slot: usize) -> bool {
+        let tasks = o.slot_tasks(slot);
+        o.memo
+            .get(&slot)
+            .is_some_and(|m| m.key == o.slot_key(&tasks))
+    }
+
+    /// One heartbeat's optimization over every slot. Returns whether the
+    /// memo answered every occupied slot, and each configured slot's
+    /// (slot, loss bits, phase bits, surface response bits after it).
+    #[allow(clippy::type_complexity)]
+    fn heartbeat(o: &mut Orchestrator) -> (bool, Vec<(usize, u64, Vec<u64>, Vec<u64>)>) {
+        let mut settled = true;
+        let mut configured = Vec::new();
+        for slot in 0..o.slots_per_frame {
+            let hit = hits(o, slot);
+            let Some(loss) = o.optimize_slot(slot) else {
+                continue;
+            };
+            settled &= hit;
+            let phases = o.memo[&slot]
+                .phases
+                .iter()
+                .flatten()
+                .map(|p| p.to_bits())
+                .collect();
+            configured.push((slot, loss.to_bits(), phases, surface_bits(o)));
+        }
+        (settled, configured)
+    }
+
+    #[test]
+    fn memo_hit_is_bit_identical_to_a_rerun() {
+        let mut o = build();
+        o.optimize_coverage("bedroom", 25.0);
+        o.enhance_link("laptop", 20.0, 50.0);
+        o.schedule_frame();
+        let start = responses(&o);
+
+        let (settled, first) = heartbeat(&mut o);
+        assert!(!settled, "an empty memo cannot settle a heartbeat");
+        assert_eq!(first.len(), 1, "both shareable tasks share one slot");
+
+        restore(&mut o, &start);
+        let (settled, hit) = heartbeat(&mut o);
+        assert!(settled, "same inputs, same start: the memo answers");
+
+        restore(&mut o, &start);
+        o.memo.clear();
+        let (settled, rerun) = heartbeat(&mut o);
+        assert!(!settled);
+        assert_eq!(hit, rerun, "a hit returns exactly what Adam returns");
+        assert_eq!(first, rerun);
+    }
+
+    #[test]
+    fn memo_two_slots_each_reapply_their_own_phases() {
+        let mut o = build();
+        o.optimize_coverage("bedroom", 25.0);
+        o.protect_link("bedroom", -60.0); // exclusive: a slot of its own
+        o.schedule_frame();
+        let start = responses(&o);
+
+        let (_, first) = heartbeat(&mut o);
+        assert_eq!(first.len(), 2, "two occupied slots");
+        assert_ne!(first[0].0, first[1].0);
+        assert_ne!(first[0].2, first[1].2, "the slots optimize different goals");
+
+        restore(&mut o, &start);
+        let (settled, hit) = heartbeat(&mut o);
+        assert!(
+            settled,
+            "the second slot starts where the first one's hit left it"
+        );
+        assert_eq!(hit, first);
+        for (_, _, phases, after) in &hit {
+            // Each slot programs its own phases.
+            let programmed: Vec<u64> = phases
+                .iter()
+                .flat_map(|&p| {
+                    let c = surfos_em::complex::Complex::cis(f64::from_bits(p));
+                    [c.re.to_bits(), c.im.to_bits()]
+                })
+                .collect();
+            assert_eq!(&programmed, after);
+        }
+
+        restore(&mut o, &start);
+        o.memo.clear();
+        let (_, rerun) = heartbeat(&mut o);
+        assert_eq!(hit, rerun);
+    }
+
+    #[test]
+    fn memo_misses_on_each_key_input() {
+        type Change = fn(&mut Orchestrator, TaskId);
+        let changes: [(&str, Change); 5] = [
+            ("nothing", |_, _| {}),
+            ("a moved subject", |o, _| {
+                o.move_endpoint("laptop", Vec3::new(6.6, 1.5, 1.2));
+            }),
+            ("a new blocker epoch", |o, _| o.sim.set_blockers(Vec::new())),
+            ("a changed goal", |o, t| {
+                o.tasks.get_mut(t).unwrap().request.goal =
+                    crate::service::ServiceGoal::LinkQuality {
+                        min_snr_db: 21.0,
+                        max_latency_ms: 50.0,
+                    }
+            }),
+            ("a changed band", |o, _| {
+                o.sim.band = surfos_em::band::Band::new(28.5e9, 400e6)
+            }),
+        ];
+        for (what, change) in changes {
+            let mut o = build();
+            o.adam_options.iters = 5;
+            let t = o.enhance_link("laptop", 20.0, 50.0);
+            o.schedule_frame();
+            let start = responses(&o);
+            heartbeat(&mut o);
+            restore(&mut o, &start);
+            change(&mut o, t);
+            let slot = (0..o.slots_per_frame)
+                .find(|&s| !o.slot_tasks(s).is_empty())
+                .expect("an occupied slot");
+            assert_eq!(hits(&o, slot), what == "nothing", "after {what}");
+        }
     }
 
     #[test]

@@ -70,6 +70,15 @@ for threads in 1 3; do
   SURFOS_THREADS="$threads" cargo test -q -p surfos --test service_plane --test daemon_idle
 done
 
+# Heartbeat memo gate: the orchestrator's slot memo (a hit is bit-identical
+# to a re-run, on one slot and on two; each key input misses on its own)
+# and a kernel heartbeat that hits still configures its slot — with the
+# pool serial and with several workers.
+for threads in 1 3; do
+  SURFOS_THREADS="$threads" cargo test -q -p surfos-orchestrator --lib memo_
+  SURFOS_THREADS="$threads" cargo test -q -p surfos --lib memo_
+done
+
 # Shard-equivalence gate: the sharded kernel must stay bit-identical to a
 # flat single-scene evaluation even with the worker pool forced serial, so
 # a result that silently depends on thread count cannot land.
@@ -125,4 +134,4 @@ SURFOS_METRICS_CHECK="$metrics_tmp" \
 # via #![warn(missing_docs)]) fail the build, not just warn.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), fused step (3 threads), daemon wake (1 and 3 workers), shard equivalence (serial), e2ebench build + tests, trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
+echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), fused step (3 threads), daemon wake (1 and 3 workers), heartbeat memo (1 and 3 threads), shard equivalence (serial), e2ebench build + tests, trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"

@@ -168,3 +168,114 @@ fn disabled_kernel_run_records_nothing() {
     assert!(snap.spans.is_empty());
     assert!(snap.events.is_empty());
 }
+
+/// The sum of every series of counter `name` whose labels include `label`.
+fn labelled(snap: &obs::Snapshot, name: &str, label: &str) -> u64 {
+    snap.counters
+        .iter()
+        .filter(|(k, _)| obs::base_name(k) == name)
+        .filter(|(k, _)| obs::label_body(k).is_some_and(|b| b.split(',').any(|l| l == label)))
+        .map(|(_, v)| v)
+        .sum()
+}
+
+#[test]
+fn heartbeat_memo_hits_are_counted() {
+    let _guard = exclusive();
+    obs::reset();
+    obs::set_enabled(true);
+    let mut os = surfos::daemon::demo_kernel();
+    os.submit(ServiceRequest::init_powering("laptop", 3600.0));
+    // Settles once the first configuration is realized: the memo answers.
+    for _ in 0..4 {
+        os.step(200);
+    }
+    let counters = |snap: obs::Snapshot| {
+        let read = |k: &str| snap.counters.get(k).copied().unwrap_or(0);
+        (
+            read("orchestrator.slots_skipped"),
+            read("orchestrator.adam.iters"),
+        )
+    };
+    let (skipped, iters) = counters(obs::snapshot());
+    assert!(skipped >= 1, "steady heartbeats hit the memo");
+    os.step(200);
+    obs::set_enabled(false);
+    assert_eq!(
+        counters(obs::snapshot()),
+        (skipped + 1, iters),
+        "a steady heartbeat skips its slot and runs no Adam"
+    );
+}
+
+#[test]
+fn rejections_are_counted_by_reason() {
+    use std::net::TcpStream;
+    use surfos::daemon::{demo_kernel, ServeOptions, Server};
+    use surfos::rpc::frame::{read_frame, write_frame};
+    use surfos::rpc::proto::{Request, RequestEnvelope, Response};
+
+    let _guard = exclusive();
+    obs::reset();
+    obs::set_enabled(true);
+    let opts = ServeOptions {
+        tcp: Some("127.0.0.1:0".into()),
+        workers: 1,
+        max_conns: 3,
+        capacity: 2,
+        per_tenant: 1,
+        ..ServeOptions::default()
+    };
+    let connect = |server: &Server| {
+        let s = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
+        s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
+            .unwrap();
+        s
+    };
+    let register = |stream: &mut TcpStream, tenant: &str| {
+        let request = Request::RegisterService {
+            kind: "powering".into(),
+            subject: "laptop".into(),
+            value: 60.0,
+        };
+        let env = RequestEnvelope::with_tenant(1, tenant, request);
+        write_frame(stream, &env.encode()).unwrap();
+        let body = read_frame(stream).unwrap().expect("an answer");
+        Response::decode(&body).unwrap().1
+    };
+    let rejected = |r: Response| matches!(r, Response::Rejected { .. });
+
+    // No surface deployed: the resource grid is empty.
+    let bare = SurfOS::new(ChannelSim::new(
+        two_room_apartment().plan,
+        NamedBand::MmWave28GHz.band(),
+    ));
+    let server = Server::start(bare, opts.clone()).unwrap();
+    assert!(rejected(register(&mut connect(&server), "a")));
+    server.stop();
+
+    let server = Server::start(demo_kernel(), opts).unwrap();
+    let mut a = connect(&server);
+    assert!(!rejected(register(&mut a, "a")));
+    assert!(rejected(register(&mut a, "a")), "per-tenant quota");
+    let mut b = connect(&server);
+    assert!(!rejected(register(&mut b, "b")));
+    let mut c = connect(&server);
+    assert!(rejected(register(&mut c, "c")), "registry capacity");
+    let mut over = connect(&server); // a fourth connection, cap 3
+    let body = read_frame(&mut over).unwrap().expect("over-cap answer");
+    assert!(rejected(Response::decode(&body).unwrap().1));
+    server.stop();
+    obs::set_enabled(false);
+
+    let snap = obs::snapshot();
+    for reason in ["grid", "quota", "capacity", "conn_cap"] {
+        let label = format!("reason={reason}");
+        assert_eq!(labelled(&snap, "rpc.rejected", &label), 1, "{reason}");
+    }
+    assert_eq!(snap.counters["rpc.rejected"], 4);
+    assert!(
+        snap.counters.keys().all(|k| !k.contains("tenant")),
+        "never labelled by tenant"
+    );
+}
