@@ -1,10 +1,9 @@
 //! Building-scale spatial benchmarks: 1k–4k-wall multi-floor plans, where
-//! the SAH/packed tree has to beat both the brute scan *and* the reference
-//! median-split tree to earn its keep.
+//! the SAH/packed tree has to beat the brute scan to earn its keep.
 //!
 //! `plan/crossings_building` isolates the index (16 probe segments through
-//! the whole building, brute vs median tree vs SAH tree — all three return
-//! bit-identical crossings, the proptests pin that). The wall counts come
+//! the whole building, brute scan vs SAH tree — both return bit-identical
+//! crossings, the proptests pin that). The wall counts come
 //! from `building_plan`'s parametric layout: (8 floors × 21 rooms/side) =
 //! 1024 walls, (16 × 42) = 4064 walls.
 //!
@@ -31,20 +30,12 @@ fn bench_crossings_building(c: &mut Criterion) {
         let plan = building_plan(floors, rooms, SCENE_SEED);
         let n = plan.walls().len();
         let sah = plan.build_wall_index();
-        let median = plan.build_wall_index_median();
         let (ext_x, ext_y) = building_extent(floors, rooms);
         let probes = probe_segments_in(16, SCENE_SEED ^ 0xBEEF, ext_x, ext_y);
         group.bench_function(format!("brute_{n}w"), |b| {
             b.iter(|| {
                 for &(from, to) in &probes {
                     black_box(plan.crossings(from, to));
-                }
-            })
-        });
-        group.bench_function(format!("median_{n}w"), |b| {
-            b.iter(|| {
-                for &(from, to) in &probes {
-                    black_box(plan.crossings_with(&median, from, to));
                 }
             })
         });

@@ -56,8 +56,7 @@ fn bench_heatmap(c: &mut Criterion) {
 }
 
 fn bench_frequency_response(c: &mut Criterion) {
-    // Trace-once sweep vs the old clone-the-simulator-per-point sweep:
-    // the asymmetry the trace/evaluate split buys.
+    // One trace, then one cheap re-phasing evaluation per subcarrier.
     let mut lab = ApartmentLab::new("bedroom-north");
     lab.deploy("s", "bedroom-north", 16);
     let rx = Endpoint::client("rx", lab.grid[10]);
@@ -65,9 +64,6 @@ fn bench_frequency_response(c: &mut Criterion) {
     group.sample_size(20);
     group.bench_function("trace_once_128pts_16x16", |b| {
         b.iter(|| black_box(lab.sim.frequency_response(&lab.ap, &rx, 128)))
-    });
-    group.bench_function("naive_retrace_128pts_16x16", |b| {
-        b.iter(|| black_box(lab.sim.frequency_response_naive(&lab.ap, &rx, 128)))
     });
     group.finish();
 }

@@ -44,13 +44,13 @@ fn main() {
     // A link task exercises the per-pair linearization cache (coverage
     // goes through the sweep path, which is uncached by design).
     os.submit(ServiceRequest::enhance_link("laptop", 20.0, 50.0));
-    // A walking person: every step after the first is a blocker-only
-    // mutation, exercising the incremental refit/refresh path.
-    os.attach_walk(BlockerWalk::new(
-        vec![Vec3::xy(5.5, 1.0), Vec3::xy(7.0, 2.5)],
-        1.4,
-    ));
+    // A walking person, placed where the walk is at the time each step
+    // advances to: every step after the first is a blocker-only mutation,
+    // exercising the incremental refit/refresh path.
+    let walk = BlockerWalk::new(vec![Vec3::xy(5.5, 1.0), Vec3::xy(7.0, 2.5)], 1.4);
     for _ in 0..3 {
+        let t_s = (os.orchestrator().now_ms() + 10) as f64 / 1000.0;
+        os.set_blockers(vec![walk.blocker_at(t_s)]);
         os.step(10);
     }
 

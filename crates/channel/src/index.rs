@@ -88,19 +88,7 @@ impl SceneIndex {
     /// blockers + Σ elements)` — paid once per structure epoch, not per
     /// link.
     pub fn build(plan: &FloorPlan, blockers: &[Blocker], surfaces: &[SurfaceInstance]) -> Self {
-        Self::build_with_walls(plan.build_wall_index(), blockers, surfaces)
-    }
-
-    /// Like [`SceneIndex::build`] but reusing a prebuilt [`WallIndex`] over
-    /// the same plan's walls — e.g. the median reference tree from
-    /// [`FloorPlan::build_wall_index_median`], which the equivalence tests
-    /// trace through to pin SAH/median/brute bit-identity at the channel
-    /// level.
-    pub fn build_with_walls(
-        walls: WallIndex,
-        blockers: &[Blocker],
-        surfaces: &[SurfaceInstance],
-    ) -> Self {
+        let walls = plan.build_wall_index();
         // Size of the packed tree this index will traverse — building-scale
         // plans make this worth watching next to `nodes_visited`.
         surfos_obs::gauge("channel.index.bvh_nodes", walls.bvh().node_count() as f64);

@@ -226,8 +226,7 @@ pub struct ChannelSim {
 impl Clone for ChannelSim {
     fn clone(&self) -> Self {
         // The clone's geometry is identical, so it shares the scene index
-        // Arc (band-probe clones in `frequency_response_naive` then skip
-        // the rebuild). The linearization cache's entry map starts empty
+        // Arc (band-probe clones then skip the rebuild). The linearization cache's entry map starts empty
         // (link states are heavy; entries re-fill on first query) but the
         // lifetime counters carry over so accounting built from a clone
         // does not under-report.
@@ -803,10 +802,10 @@ impl ChannelSim {
     }
 
     /// Reference implementation of [`ChannelSim::frequency_response`] that
-    /// re-traces the environment at every subcarrier. Kept for equivalence
-    /// tests and benchmarks.
-    #[doc(hidden)]
-    pub fn frequency_response_naive(
+    /// re-traces the environment at every subcarrier. Test-only: the
+    /// equivalence test pins the one-trace sweep against it.
+    #[cfg(test)]
+    pub(crate) fn frequency_response_naive(
         &self,
         tx: &Endpoint,
         rx: &Endpoint,

@@ -9,7 +9,6 @@
 
 use proptest::prelude::*;
 use surfos_channel::dynamics::Blocker;
-use surfos_channel::index::SceneIndex;
 use surfos_channel::paths::{self, Medium};
 use surfos_channel::{ChannelSim, Endpoint, OperationMode, SurfaceInstance};
 use surfos_em::antenna::ElementPattern;
@@ -141,58 +140,6 @@ proptest! {
                 prop_assert_eq!(ca.im.to_bits(), cb.im.to_bits());
             }
         }
-    }
-
-    /// Tracing through a median-split reference tree must match the
-    /// production SAH/packed path bit for bit: culling is conservative in
-    /// both trees, so tree shape can never leak into channel results.
-    #[test]
-    fn prop_median_tree_traces_bit_identical_to_sah(
-        seed in 0u64..1_000_000,
-        n_walls in 0usize..48,
-        n_blockers in 0usize..4,
-        n_surfaces in 0usize..3,
-        tx_x in -1.0..11.0f64, tx_y in -1.0..11.0f64,
-        rx_x in -1.0..11.0f64, rx_y in -1.0..11.0f64,
-    ) {
-        let sim = build_sim(seed, n_walls, n_blockers, n_surfaces);
-        let tx = iso("tx", Vec3::new(tx_x, tx_y, 1.8));
-        let rx = iso("rx", Vec3::new(rx_x, rx_y, 1.2));
-
-        let sah = sim.linearize(&tx, &rx);
-        let median_index = SceneIndex::build_with_walls(
-            sim.plan.build_wall_index_median(),
-            sim.blockers(),
-            sim.surfaces(),
-        );
-        let medium = Medium::with_index(
-            &sim.plan,
-            sim.blockers(),
-            sim.surfaces(),
-            sim.band,
-            &median_index,
-        );
-        let median = paths::trace_channel(
-            &medium,
-            &tx,
-            &rx,
-            sim.surfaces(),
-            sim.enable_wall_reflections,
-            sim.enable_cascades,
-        )
-        .linearize_at(&sim.band);
-
-        prop_assert_eq!(sah.constant.re.to_bits(), median.constant.re.to_bits());
-        prop_assert_eq!(sah.constant.im.to_bits(), median.constant.im.to_bits());
-        prop_assert_eq!(sah.linear.len(), median.linear.len());
-        for (a, b) in sah.linear.iter().zip(&median.linear) {
-            prop_assert_eq!(a.surface, b.surface);
-            for (ca, cb) in a.coeffs.iter().zip(&b.coeffs) {
-                prop_assert_eq!(ca.re.to_bits(), cb.re.to_bits());
-                prop_assert_eq!(ca.im.to_bits(), cb.im.to_bits());
-            }
-        }
-        prop_assert_eq!(sah.bilinear.len(), median.bilinear.len());
     }
 
     /// The batch API must match per-pair serial calls bit for bit (the

@@ -23,7 +23,7 @@
 use crate::telemetry::Telemetry;
 use surfos_broker::intent::{IntentContext, IntentTranslator, RuleBasedTranslator};
 use surfos_broker::monitor::ServiceMonitor;
-use surfos_channel::dynamics::{Blocker, BlockerWalk};
+use surfos_channel::dynamics::Blocker;
 use surfos_channel::feedback::{FeedbackBus, FeedbackReport};
 use surfos_channel::{ChannelSim, Endpoint, IndexStats, OperationMode, SurfaceInstance};
 use surfos_em::array::ArrayGeometry;
@@ -74,11 +74,6 @@ pub struct SurfOS {
     /// enabled (measuring every service each step costs channel
     /// evaluations).
     monitors: std::collections::HashMap<TaskId, ServiceMonitor>,
-    /// Scripted blocker trajectories the step loop replays: each walk
-    /// contributes one person, repositioned every heartbeat. Blocker-only
-    /// motion takes the simulator's incremental path (index refit +
-    /// linearization refresh), never a structure rebuild.
-    walks: Vec<BlockerWalk>,
     /// Simulator index counters at the last step boundary, so the
     /// telemetry deltas attribute rebuilds/refits to kernel steps.
     last_index_stats: IndexStats,
@@ -98,21 +93,15 @@ impl SurfOS {
             known_devices: Vec::new(),
             last_pushed: std::collections::HashMap::new(),
             monitors: std::collections::HashMap::new(),
-            walks: Vec::new(),
             last_index_stats: IndexStats::default(),
         }
     }
 
-    /// Attaches a scripted blocker walk the step loop replays. Each walk
-    /// adds one person to the environment; positions advance with kernel
-    /// time, exercising the channel model's incremental (refit + refresh)
-    /// path on every heartbeat.
-    pub fn attach_walk(&mut self, walk: BlockerWalk) {
-        self.walks.push(walk);
-    }
-
-    /// Replaces the environment's blockers directly (one-shot events; for
-    /// continuous motion prefer [`SurfOS::attach_walk`]).
+    /// Replaces the environment's blockers. A blocker-only mutation: the
+    /// simulator refits its index and refreshes cached linearizations
+    /// instead of rebuilding. Scripted walks are replayed by the campus
+    /// coordinator ([`ShardedKernel::attach_walk`](crate::shard::ShardedKernel::attach_walk)),
+    /// a 1-zone one for a flat deployment.
     pub fn set_blockers(&mut self, blockers: Vec<Blocker>) {
         self.orch.sim.set_blockers(blockers);
     }
@@ -225,15 +214,6 @@ impl SurfOS {
         report.reaped = self.orch.tick(dt_ms);
         self.telemetry.tasks_reaped += report.reaped.len() as u64;
         surfos_obs::add("kernel.tasks_reaped", report.reaped.len() as u64);
-
-        // 1b. Environment dynamics: replay attached walks at the new
-        // time. A blocker-only mutation — the simulator refits its index
-        // and refreshes cached linearizations instead of rebuilding.
-        if !self.walks.is_empty() {
-            let t_s = self.orch.now_ms() as f64 / 1000.0;
-            let blockers = self.walks.iter().map(|w| w.blocker_at(t_s)).collect();
-            self.orch.sim.set_blockers(blockers);
-        }
 
         // 2. Schedule.
         let outcome = {
@@ -617,17 +597,23 @@ mod tests {
     fn walk_ticks_refit_not_rebuild() {
         let mut os = boot();
         os.submit(ServiceRequest::optimize_coverage("bedroom", 25.0));
-        os.attach_walk(BlockerWalk::new(
+        let walk = surfos_channel::dynamics::BlockerWalk::new(
             vec![Vec3::xy(5.5, 1.0), Vec3::xy(7.0, 2.5)],
             1.4,
-        ));
+        );
+        // One walker tick: its person at the time the step advances to.
+        let walk_step = |os: &mut SurfOS| {
+            let t_s = (os.orchestrator().now_ms() + 10) as f64 / 1000.0;
+            os.set_blockers(vec![walk.blocker_at(t_s)]);
+            os.step(10);
+        };
         // First step may touch geometry (resonance sync); settle first.
-        os.step(10);
-        os.step(10);
+        walk_step(&mut os);
+        walk_step(&mut os);
         let settled = os.telemetry();
         let structure = std::sync::Arc::clone(os.sim().scene_index().structure());
         for _ in 0..5 {
-            os.step(10);
+            walk_step(&mut os);
             assert!(
                 std::sync::Arc::ptr_eq(&structure, os.sim().scene_index().structure()),
                 "walk ticks must keep the wall BVH structure"

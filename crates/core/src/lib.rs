@@ -68,6 +68,14 @@ pub use kernel::SurfOS;
 pub use shard::{ShardedKernel, Zone};
 pub use telemetry::Telemetry;
 
+/// Serializes this crate's tests that switch the process-global obs
+/// registry on or off, or count what it records.
+#[cfg(test)]
+pub(crate) fn obs_exclusive() -> std::sync::MutexGuard<'static, ()> {
+    static LOCK: std::sync::Mutex<()> = std::sync::Mutex::new(());
+    LOCK.lock().unwrap_or_else(|p| p.into_inner())
+}
+
 // Re-export the layer crates under one roof so applications can depend on
 // `surfos` alone.
 pub use surfos_broker as broker;

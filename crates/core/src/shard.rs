@@ -16,12 +16,21 @@
 //! orchestrator; shards never share a lock on the hot path. The coordinator
 //! is the only owner of cross-zone state:
 //!
-//! - **Walkers**: every [`BlockerWalk`] is kept with the zone that owns it.
-//!   Each tick the coordinator moves every walker to the new global time,
-//!   routes it to the zone containing it (a changed zone is a handoff) and
-//!   hands each shard its crowd in walker-id order. Positions are pure
-//!   functions of global time, so a handoff moves ownership, never state —
-//!   replay is bit-identical at any shard count.
+//! - **Walkers**: the coordinator is the only place blocker motion is
+//!   replayed; a flat deployment with walkers is a 1-zone kernel
+//!   ([`Zone::all`]). Every [`BlockerWalk`] is kept with the zone that owns
+//!   it. Each tick the coordinator moves every walker to the new global
+//!   time, routes it to the zone containing it (a changed zone is a
+//!   handoff) and gathers each shard's crowd in walker-id order. Positions
+//!   are pure functions of global time, so a handoff moves ownership, never
+//!   state — replay is bit-identical at any shard count.
+//! - **The crowd rule**: a shard's blockers are replaced only when its new
+//!   crowd differs from the blockers its simulator already holds. An equal
+//!   crowd is an equal input, so skipping it changes no bit; re-setting it
+//!   would bump the simulator's blocker epoch, which keys both the
+//!   linearization cache and the heartbeat's slot memo. With the rule, a
+//!   shard no walker is in keeps its epoch, its links hit the cache and its
+//!   settled heartbeats hit the memo instead of re-running Adam.
 //! - **Campus services**: a service spanning several zones submits one
 //!   task to each zone's kernel; after each step the coordinator
 //!   reconciles grants all-or-nothing and retires every part of a partial
@@ -437,15 +446,16 @@ impl ShardedKernel {
 
     /// Advances campus time by `dt_ms` and runs one superstep: every
     /// walker moves to the zone containing it at the new time (a changed
-    /// zone is a handoff), then `phase` runs on every shard with its crowd
-    /// in walker-id order, in parallel, under the shard's `{shard=N}`
-    /// label scope — so every counter and span a shard records also lands
-    /// under its label, and its trace events on the `shard=N` track.
-    /// Returns the outputs in shard order and this tick's handoffs.
+    /// zone is a handoff), each shard whose crowd (its walkers in walker-id
+    /// order) differs from its simulator's blockers gets the new crowd,
+    /// then `phase` runs on every shard, in parallel, under the shard's
+    /// `{shard=N}` label scope — so every counter and span a shard records
+    /// also lands under its label, and its trace events on the `shard=N`
+    /// track. Returns the outputs in shard order and this tick's handoffs.
     fn superstep<U, F>(&mut self, dt_ms: u64, phase: F) -> (Vec<U>, u64)
     where
         U: Send,
-        F: Fn(&mut KernelShard, Vec<Blocker>) -> U + Sync,
+        F: Fn(&mut KernelShard) -> U + Sync,
     {
         self.now_ms += dt_ms;
         let t_s = self.now_ms as f64 / 1000.0;
@@ -465,7 +475,10 @@ impl ShardedKernel {
         let mut work: Vec<_> = self.shards.iter_mut().zip(crowds).collect();
         let out = par::par_map_mut_with_threads(&mut work, threads, |(s, crowd)| {
             let _obs = surfos_obs::scoped(&[("shard", s.index)]);
-            phase(s, std::mem::take(crowd))
+            if s.kernel.sim().blockers() != crowd.as_slice() {
+                s.kernel.set_blockers(std::mem::take(crowd));
+            }
+            phase(s)
         });
         (out, handoffs)
     }
@@ -474,10 +487,7 @@ impl ShardedKernel {
     /// kernel step, then multi-zone grant reconciliation and aggregate
     /// mirroring on the coordinator.
     pub fn step(&mut self, dt_ms: u64) -> CampusStepReport {
-        let (per_shard, handoffs) = self.superstep(dt_ms, |s, crowd| {
-            s.kernel.set_blockers(crowd);
-            s.kernel.step(dt_ms)
-        });
+        let (per_shard, handoffs) = self.superstep(dt_ms, |s| s.kernel.step(dt_ms));
         let mut report = CampusStepReport {
             per_shard,
             handoffs,
@@ -492,9 +502,8 @@ impl ShardedKernel {
     /// cached link evaluation — the walk-replay hot path, no scheduling or
     /// optimization. Results land in [`ShardedKernel::linearizations`].
     pub fn replay_tick(&mut self, dt_ms: u64) {
-        let (_, handoffs) = self.superstep(dt_ms, |s, crowd| {
+        let (_, handoffs) = self.superstep(dt_ms, |s| {
             let _span = surfos_obs::span!("kernel.shard.eval");
-            s.kernel.set_blockers(crowd);
             s.eval_links();
         });
         self.mirror_obs(handoffs);
@@ -1002,6 +1011,90 @@ mod tests {
             sharded.handoffs() > 0,
             "the replay window must include a handoff"
         );
+    }
+
+    #[test]
+    fn memo_hits_in_walker_free_shards() {
+        // The street walker stays in zone 0 for these 1.2 s. Zones 1 and 2
+        // hold no walker, so their blocker epochs must never move. Zone 1's
+        // configuration is a bit-exact fixed point of its heartbeat from
+        // step 5, so from step 6 its slot memo answers every heartbeat.
+        // Zone 2's never gets there (one element drifts by one ULP per
+        // heartbeat), so it is not required to hit.
+        let _obs = crate::obs_exclusive();
+        surfos_obs::reset();
+        surfos_obs::set_enabled(true);
+        let mut kernel = demo_campus(3).kernel;
+        let epochs: Vec<_> = kernel
+            .shards
+            .iter()
+            .map(|s| s.kernel.sim().epochs())
+            .collect();
+        let skipped = |shard: usize| {
+            let key = format!("orchestrator.slots_skipped{{shard={shard}}}");
+            surfos_obs::snapshot()
+                .counters
+                .get(&key)
+                .copied()
+                .unwrap_or(0)
+        };
+        let mut last = [0; 3];
+        for step in 1..=12 {
+            kernel.step(100);
+            for (shard, last) in last.iter_mut().enumerate() {
+                let now = skipped(shard);
+                let hits = now - *last;
+                *last = now;
+                if shard == 0 {
+                    assert_eq!(hits, 0, "step {step}: the walker's shard re-optimizes");
+                    continue;
+                }
+                assert_eq!(kernel.shards[shard].kernel.sim().epochs(), epochs[shard]);
+                if shard == 1 && step >= 6 {
+                    assert_eq!(hits, 1, "step {step}: shard 1 hits its memo");
+                } else {
+                    assert!(hits <= 1, "step {step}: shard {shard} has one slot");
+                }
+            }
+        }
+        surfos_obs::set_enabled(false);
+        assert_eq!(kernel.walkers[0].1, 0);
+        assert_eq!(kernel.handoffs(), 0, "the walker stays in zone 0");
+    }
+
+    #[test]
+    fn memo_skipped_crowds_match_forced_resets_bitwise() {
+        // Re-setting every shard's blockers before each heartbeat bumps
+        // its blocker epoch, so its slot memo and linearization cache
+        // miss. Skipping an equal crowd must give the same bits as those
+        // forced misses. (The lock keeps these heartbeats out of the
+        // counters the test above reads.)
+        let _obs = crate::obs_exclusive();
+        let mut skipping = demo_campus(3).kernel;
+        let mut forced = demo_campus(3).kernel;
+        for step in 0..12 {
+            for s in &mut forced.shards {
+                let crowd = s.kernel.sim().blockers().to_vec();
+                s.kernel.set_blockers(crowd);
+            }
+            let a = skipping.step(100);
+            let b = forced.step(100);
+            assert_eq!(format!("{a:?}"), format!("{b:?}"), "step {step}");
+            for (sa, sb) in skipping.shards.iter().zip(&forced.shards) {
+                for (ra, rb) in sa
+                    .kernel
+                    .sim()
+                    .surfaces()
+                    .iter()
+                    .zip(sb.kernel.sim().surfaces())
+                {
+                    for (ca, cb) in ra.response().iter().zip(rb.response()) {
+                        assert_eq!(ca.re.to_bits(), cb.re.to_bits(), "step {step}");
+                        assert_eq!(ca.im.to_bits(), cb.im.to_bits(), "step {step}");
+                    }
+                }
+            }
+        }
     }
 
     #[test]

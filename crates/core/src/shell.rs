@@ -793,6 +793,7 @@ client laptop 3.0 3.0 1.2",
 
     #[test]
     fn metrics_command_toggles_and_renders() {
+        let _obs = crate::obs_exclusive();
         let mut shell = Shell::new();
         assert!(shell.execute("metrics on").unwrap().contains("enabled"));
         shell
@@ -827,6 +828,7 @@ client laptop 3.0 3.0 1.2",
 
     #[test]
     fn top_captures_baseline_then_reports() {
+        let _obs = crate::obs_exclusive();
         let mut shell = Shell::new();
         shell.execute("metrics on").unwrap();
         let first = shell.execute("top").unwrap();

@@ -19,11 +19,11 @@
 //! tight boxes, which is what keeps traversal sublinear on building-scale
 //! plans (1000s of walls) where the room/corridor structure is highly
 //! non-uniform. When SAH degenerates — coincident centroids, every centroid
-//! in one bin, a zero-area node — the builder falls back to the median
-//! split, which always makes progress. [`Bvh::build_median`] forces the
-//! median split everywhere; it is the pre-SAH reference builder, kept for
-//! equivalence proptests and the `plan/crossings_building` benches (query
-//! *results* through either tree are identical; only cost differs).
+//! in one bin, a zero-area node, or a range deeper than the SAH depth
+//! limit — the builder falls back to the median split, which always makes
+//! progress. There is one builder: the tree's shape only decides traversal
+//! cost, never which hits a query reports, so the brute scan is the
+//! equivalence oracle, not a second tree.
 //!
 //! ## Layout: packed 32-byte nodes
 //!
@@ -290,13 +290,6 @@ enum Split {
     MedianFallback,
 }
 
-/// Which splitter drives construction.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum SplitStrategy {
-    Sah,
-    Median,
-}
-
 /// A primitive's own bounds in the packed `f32` layout (conservatively
 /// rounded outward like node bounds), stored in *slot* order so packet
 /// leaf loops stream through them. Leaf node boxes are unions of up to
@@ -345,19 +338,6 @@ impl Bvh {
     /// # Panics
     /// Panics when `boxes` exceeds the 2²⁶-primitive packing capacity.
     pub fn build(boxes: &[Aabb]) -> Self {
-        Self::build_with(boxes, SplitStrategy::Sah)
-    }
-
-    /// Builds the hierarchy with the reference median splitter everywhere
-    /// (the pre-SAH construction). Queries through a median tree return the
-    /// same candidate *supersets* contract — and therefore bit-identical
-    /// final results — as [`Bvh::build`]; only traversal cost differs. Kept
-    /// for equivalence proptests and the building-scale benchmarks.
-    pub fn build_median(boxes: &[Aabb]) -> Self {
-        Self::build_with(boxes, SplitStrategy::Median)
-    }
-
-    fn build_with(boxes: &[Aabb], strategy: SplitStrategy) -> Self {
         assert!(
             boxes.len() <= MAX_PRIMS,
             "BVH capacity is {MAX_PRIMS} primitives"
@@ -370,7 +350,7 @@ impl Bvh {
         };
         if !boxes.is_empty() {
             bvh.nodes.push(PackedNode::PLACEHOLDER);
-            bvh.build_node(boxes, 0, 0, boxes.len(), 0, strategy);
+            bvh.build_node(boxes, 0, 0, boxes.len(), 0);
             bvh.repack_prim_boxes(boxes);
         }
         if let Some(t0) = timer {
@@ -395,15 +375,7 @@ impl Bvh {
         self.nodes.len()
     }
 
-    fn build_node(
-        &mut self,
-        boxes: &[Aabb],
-        node: usize,
-        lo: usize,
-        hi: usize,
-        depth: usize,
-        strategy: SplitStrategy,
-    ) {
+    fn build_node(&mut self, boxes: &[Aabb], node: usize, lo: usize, hi: usize, depth: usize) {
         let mut aabb = Aabb::empty();
         for &i in &self.order[lo..hi] {
             aabb = aabb.union(&boxes[i as usize]);
@@ -413,9 +385,10 @@ impl Bvh {
             self.nodes[node] = PackedNode::new(&aabb, PackedNode::leaf_word(lo, count));
             return;
         }
-        let split = match strategy {
-            SplitStrategy::Sah if depth < SAH_DEPTH_LIMIT => self.sah_split(boxes, lo, hi, &aabb),
-            _ => Split::MedianFallback,
+        let split = if depth < SAH_DEPTH_LIMIT {
+            self.sah_split(boxes, lo, hi, &aabb)
+        } else {
+            Split::MedianFallback
         };
         let mid = match split {
             Split::Leaf => {
@@ -427,9 +400,7 @@ impl Bvh {
                 mid
             }
             Split::MedianFallback => {
-                if strategy == SplitStrategy::Sah {
-                    surfos_obs::add("geometry.bvh.median_fallbacks", 1);
-                }
+                surfos_obs::add("geometry.bvh.median_fallbacks", 1);
                 self.median_split(boxes, lo, hi)
             }
         };
@@ -438,12 +409,12 @@ impl Bvh {
         self.nodes.push(PackedNode::PLACEHOLDER);
         self.nodes.push(PackedNode::PLACEHOLDER);
         self.nodes[node] = PackedNode::new(&aabb, PackedNode::interior_word(left));
-        self.build_node(boxes, left, lo, mid, depth + 1, strategy);
-        self.build_node(boxes, left + 1, mid, hi, depth + 1, strategy);
+        self.build_node(boxes, left, lo, mid, depth + 1);
+        self.build_node(boxes, left + 1, mid, hi, depth + 1);
     }
 
-    /// The widest-axis centroid bounds of `order[lo..hi]`, shared by both
-    /// splitters.
+    /// The widest-axis centroid bounds of `order[lo..hi]`, shared by SAH
+    /// and its median fallback.
     fn centroid_spread(&self, boxes: &[Aabb], lo: usize, hi: usize) -> (Aabb, usize) {
         let bounds = Aabb::from_points(
             self.order[lo..hi]
@@ -1251,13 +1222,12 @@ mod tests {
 
     #[test]
     fn empty_bvh_yields_nothing() {
-        for bvh in [Bvh::build(&[]), Bvh::build_median(&[])] {
-            assert!(bvh.is_empty());
-            assert_eq!(bvh.node_count(), 0);
-            assert!(bvh
-                .segment_candidates(Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0))
-                .is_empty());
-        }
+        let bvh = Bvh::build(&[]);
+        assert!(bvh.is_empty());
+        assert_eq!(bvh.node_count(), 0);
+        assert!(bvh
+            .segment_candidates(Vec3::ZERO, Vec3::new(1.0, 0.0, 0.0))
+            .is_empty());
     }
 
     #[test]
@@ -1485,24 +1455,19 @@ mod tests {
         ) {
             // Zero-extent walls, point boxes and coincident centroids:
             // exercise the SAH median fallback on build, then perturb and
-            // refit — the conservative contract must hold throughout, for
-            // both builders.
+            // refit — the conservative contract must hold throughout.
             let mut boxes = degenerate_boxes(seed, n);
             let mut sah = Bvh::build(&boxes);
-            let mut median = Bvh::build_median(&boxes);
             let from = Vec3::new(x0, y0, 0.5);
             let to = Vec3::new(x1, y1, 2.5);
             prop_assert!(assert_superset(&sah, &boxes, from, to).is_ok());
-            prop_assert!(assert_superset(&median, &boxes, from, to).is_ok());
 
             let delta = Vec3::new(dx, 0.0, dz);
             for b in boxes.iter_mut().take(moved.min(n)) {
                 *b = Aabb::new(b.min + delta, b.max + delta);
             }
             sah.refit(&boxes);
-            median.refit(&boxes);
             prop_assert!(assert_superset(&sah, &boxes, from, to).is_ok());
-            prop_assert!(assert_superset(&median, &boxes, from, to).is_ok());
         }
 
         #[test]
@@ -1515,9 +1480,7 @@ mod tests {
             let boxes = scene_boxes(seed, n);
             let from = Vec3::new(x0, y0, z0);
             let to = Vec3::new(x1, y1, z1);
-            // Both builders obey the same conservative contract.
             prop_assert!(assert_superset(&Bvh::build(&boxes), &boxes, from, to).is_ok());
-            prop_assert!(assert_superset(&Bvh::build_median(&boxes), &boxes, from, to).is_ok());
         }
 
         #[test]
@@ -1539,30 +1502,29 @@ mod tests {
             let segs = packet_segments(seed ^ 0xD1F7, k);
             let packet = SegmentPacket::<F32x8>::new(&segs);
             prop_assert_eq!(packet.len(), k);
-            for bvh in [Bvh::build(&boxes), Bvh::build_median(&boxes)] {
-                // Indexing by lane also asserts no visit ever names an
-                // inactive lane (lane >= k would panic).
-                let mut per_lane: Vec<Vec<usize>> = vec![Vec::new(); k];
-                let mut slot_pairs: Vec<(usize, usize)> = Vec::new();
-                bvh.for_each_packet_candidate(&packet, |lane, slot, prim| {
-                    slot_pairs.push((slot, prim));
-                    per_lane[lane].push(prim);
-                });
-                for (slot, prim) in slot_pairs {
-                    prop_assert_eq!(bvh.order()[slot] as usize, prim, "slot/prim mismatch");
+            let bvh = Bvh::build(&boxes);
+            // Indexing by lane also asserts no visit ever names an
+            // inactive lane (lane >= k would panic).
+            let mut per_lane: Vec<Vec<usize>> = vec![Vec::new(); k];
+            let mut slot_pairs: Vec<(usize, usize)> = Vec::new();
+            bvh.for_each_packet_candidate(&packet, |lane, slot, prim| {
+                slot_pairs.push((slot, prim));
+                per_lane[lane].push(prim);
+            });
+            for (slot, prim) in slot_pairs {
+                prop_assert_eq!(bvh.order()[slot] as usize, prim, "slot/prim mismatch");
+            }
+            for (lane, &(from, to)) in segs.iter().enumerate() {
+                for (i, b) in boxes.iter().enumerate() {
+                    if b.intersects_segment(from, to) {
+                        prop_assert!(
+                            per_lane[lane].contains(&i),
+                            "lane {} dropped true hit {}", lane, i
+                        );
+                    }
                 }
-                for (lane, &(from, to)) in segs.iter().enumerate() {
-                    for (i, b) in boxes.iter().enumerate() {
-                        if b.intersects_segment(from, to) {
-                            prop_assert!(
-                                per_lane[lane].contains(&i),
-                                "lane {} dropped true hit {}", lane, i
-                            );
-                        }
-                    }
-                    for &i in &per_lane[lane] {
-                        prop_assert!(i < boxes.len(), "fabricated candidate {}", i);
-                    }
+                for &i in &per_lane[lane] {
+                    prop_assert!(i < boxes.len(), "fabricated candidate {}", i);
                 }
             }
         }
@@ -1570,19 +1532,18 @@ mod tests {
         #[test]
         fn prop_no_duplicate_candidates(seed in 0u64..100_000, n in 0usize..100) {
             let boxes = scene_boxes(seed, n);
-            for bvh in [Bvh::build(&boxes), Bvh::build_median(&boxes)] {
-                let mut c = bvh.segment_candidates(
-                    Vec3::new(-1.0, -1.0, 1.0),
-                    Vec3::new(21.0, 21.0, 2.0),
-                );
-                let total = c.len();
-                c.sort_unstable();
-                c.dedup();
-                prop_assert_eq!(total, c.len());
-                // Leaves partition the primitive set: every primitive is in
-                // exactly one leaf, so a full-cover query finds all of them.
-                prop_assert!(bvh.len() == n);
-            }
+            let bvh = Bvh::build(&boxes);
+            let mut c = bvh.segment_candidates(
+                Vec3::new(-1.0, -1.0, 1.0),
+                Vec3::new(21.0, 21.0, 2.0),
+            );
+            let total = c.len();
+            c.sort_unstable();
+            c.dedup();
+            prop_assert_eq!(total, c.len());
+            // Leaves partition the primitive set: every primitive is in
+            // exactly one leaf, so a full-cover query finds all of them.
+            prop_assert!(bvh.len() == n);
         }
     }
 

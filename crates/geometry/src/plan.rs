@@ -625,24 +625,15 @@ impl FloorPlan {
     /// Builds a [`WallIndex`] over the current wall set (binned-SAH packed
     /// tree, see [`Bvh::build`]). Rebuild whenever walls are added or
     /// edited; queries check only the wall *count*, so a stale index over
-    /// mutated walls silently returns wrong answers.
+    /// mutated walls silently returns wrong answers. Graze margins are
+    /// kept in wall order, intersection rows in tree-slot order.
     pub fn build_wall_index(&self) -> WallIndex {
-        self.index_from(Bvh::build(&self.padded_wall_boxes()))
-    }
-
-    /// A [`WallIndex`] whose hierarchy uses the reference median splitter
-    /// ([`Bvh::build_median`]) instead of the default binned SAH. Indexed
-    /// query results are bit-identical to [`FloorPlan::build_wall_index`]'s
-    /// (the property tests pin this); only candidate counts and traversal
-    /// cost differ. Kept as the comparison arm for equivalence proptests
-    /// and the `plan/crossings_building` benchmarks.
-    pub fn build_wall_index_median(&self) -> WallIndex {
-        self.index_from(Bvh::build_median(&self.padded_wall_boxes()))
-    }
-
-    /// Assembles a [`WallIndex`] around a built hierarchy: per-wall graze
-    /// margins in wall order, intersection rows in tree-slot order.
-    fn index_from(&self, bvh: Bvh) -> WallIndex {
+        let boxes: Vec<Aabb> = self
+            .walls
+            .iter()
+            .map(|w| w.aabb().grown(WALL_AABB_PAD))
+            .collect();
+        let bvh = Bvh::build(&boxes);
         let soa: Vec<WallSoa> = bvh
             .order()
             .iter()
@@ -656,15 +647,6 @@ impl FloorPlan {
             bank,
             spec: SpecularBank::new(&self.walls),
         }
-    }
-
-    /// Wall bounding boxes grown by [`WALL_AABB_PAD`], the primitive set
-    /// both index builders consume.
-    fn padded_wall_boxes(&self) -> Vec<Aabb> {
-        self.walls
-            .iter()
-            .map(|w| w.aabb().grown(WALL_AABB_PAD))
-            .collect()
     }
 
     /// [`FloorPlan::crossings`] through a [`WallIndex`]: same result, bit
@@ -1243,23 +1225,21 @@ mod tests {
             let to = Vec3::new(x1, y1, z1);
             let band = NamedBand::MmWave28GHz.band();
 
-            // Both the SAH-packed tree and the reference median tree must
-            // reproduce the brute scan bit for bit.
-            for index in [plan.build_wall_index(), plan.build_wall_index_median()] {
-                prop_assert_eq!(
-                    plan.crossings(from, to),
-                    plan.crossings_with(&index, from, to)
-                );
-                prop_assert_eq!(plan.has_los(from, to), plan.has_los_with(&index, from, to));
-                prop_assert_eq!(
-                    plan.penetration_loss_db(from, to, &band).to_bits(),
-                    plan.penetration_loss_db_with(&index, from, to, &band).to_bits()
-                );
-                prop_assert_eq!(
-                    plan.transmission_amplitude(from, to, &band).to_bits(),
-                    plan.transmission_amplitude_with(&index, from, to, &band).to_bits()
-                );
-            }
+            // The indexed queries must reproduce the brute scan bit for bit.
+            let index = plan.build_wall_index();
+            prop_assert_eq!(
+                plan.crossings(from, to),
+                plan.crossings_with(&index, from, to)
+            );
+            prop_assert_eq!(plan.has_los(from, to), plan.has_los_with(&index, from, to));
+            prop_assert_eq!(
+                plan.penetration_loss_db(from, to, &band).to_bits(),
+                plan.penetration_loss_db_with(&index, from, to, &band).to_bits()
+            );
+            prop_assert_eq!(
+                plan.transmission_amplitude(from, to, &band).to_bits(),
+                plan.transmission_amplitude_with(&index, from, to, &band).to_bits()
+            );
         }
 
         #[test]
@@ -1323,27 +1303,26 @@ mod tests {
                 })
                 .collect();
 
-            for index in [plan.build_wall_index(), plan.build_wall_index_median()] {
-                // Every runnable kernel arm — scalar reference, portable
-                // pair lanes, native AVX2 — must agree bit for bit with
-                // the per-segment scalar queries.
-                for backend in runnable_backends() {
-                    let crossings = plan.crossings_batch_with(&index, backend, &segments);
-                    let los = plan.has_los_batch_with(&index, backend, &segments);
-                    prop_assert_eq!(crossings.len(), k);
-                    prop_assert_eq!(los.len(), k);
-                    for (i, &(from, to)) in segments.iter().enumerate() {
-                        prop_assert_eq!(
-                            &crossings[i],
-                            &plan.crossings_with(&index, from, to),
-                            "{:?} crossings diverged for segment {}", backend, i
-                        );
-                        prop_assert_eq!(
-                            los[i],
-                            plan.has_los_with(&index, from, to),
-                            "{:?} has_los diverged for segment {}", backend, i
-                        );
-                    }
+            let index = plan.build_wall_index();
+            // Every runnable kernel arm — scalar reference, portable
+            // pair lanes, native AVX2 — must agree bit for bit with
+            // the per-segment scalar queries.
+            for backend in runnable_backends() {
+                let crossings = plan.crossings_batch_with(&index, backend, &segments);
+                let los = plan.has_los_batch_with(&index, backend, &segments);
+                prop_assert_eq!(crossings.len(), k);
+                prop_assert_eq!(los.len(), k);
+                for (i, &(from, to)) in segments.iter().enumerate() {
+                    prop_assert_eq!(
+                        &crossings[i],
+                        &plan.crossings_with(&index, from, to),
+                        "{:?} crossings diverged for segment {}", backend, i
+                    );
+                    prop_assert_eq!(
+                        los[i],
+                        plan.has_los_with(&index, from, to),
+                        "{:?} has_los diverged for segment {}", backend, i
+                    );
                 }
             }
         }

@@ -71,8 +71,10 @@ for threads in 1 3; do
 done
 
 # Heartbeat memo gate: the orchestrator's slot memo (a hit is bit-identical
-# to a re-run, on one slot and on two; each key input misses on its own)
-# and a kernel heartbeat that hits still configures its slot — with the
+# to a re-run, on one slot and on two; each key input misses on its own),
+# a kernel heartbeat that hits still configures its slot, and the campus
+# coordinator's crowd rule (walker-free shards keep their blocker epoch and
+# hit the memo, bit-identically to forcing a reset every tick) — with the
 # pool serial and with several workers.
 for threads in 1 3; do
   SURFOS_THREADS="$threads" cargo test -q -p surfos-orchestrator --lib memo_

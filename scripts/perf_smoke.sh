@@ -7,6 +7,10 @@
 # the repo root. With --check, fresh medians are then compared against the
 # checked-in BENCH_baseline.json and the script exits non-zero when any
 # benchmark regressed by more than PERF_TOLERANCE (default 1.25 = 25 %).
+# A full run (no --group) also fails on, and names, every baseline id the
+# fresh run did not produce: a deleted or renamed bench must leave the
+# baseline in the same change. BENCH_channel.json is generated output and
+# not tracked.
 #
 # A baseline entry may carry an optional per-benchmark annotation
 # `"tolerance": <ratio>` (anywhere after its "median_ns" on the same
@@ -22,7 +26,8 @@
 #
 # --group limits the run to bench targets whose name contains the given
 # substring (and skips the obs_smoke attachment). Combine with --check to
-# gate just those ids against the baseline.
+# gate just those ids against the baseline; the other baseline ids are
+# then not expected.
 #
 # To refresh the baseline after an intentional perf change:
 #   scripts/perf_smoke.sh && cp BENCH_channel.json BENCH_baseline.json
@@ -129,12 +134,16 @@ check_regressions() {
   extract_medians_with_tolerance "$baseline_file" > "$base"
   extract_medians "$fresh_file" > "$fresh"
 
-  awk -v tol="$tolerance" '
+  local full=1
+  [[ -z "$group" ]] || full=0
+  awk -v tol="$tolerance" -v full="$full" '
     NR == FNR {
       baseline[$1] = $2
       if (NF >= 3) bench_tol[$1] = $3
+      ids[++n_base] = $1
       next
     }
+    { produced[$1] = 1 }
     ($1 in baseline) && baseline[$1] > 0 {
       t = ($1 in bench_tol) ? bench_tol[$1] : tol
       ratio = $2 / baseline[$1]
@@ -147,14 +156,20 @@ check_regressions() {
       }
     }
     END {
-      if (n == 0) {
+      for (i = 1; full && i <= n_base; i++) {
+        if (!(ids[i] in produced)) {
+          printf "MISSING     %-55s (in baseline, not produced by this run)\n", ids[i]
+          missing++
+        }
+      }
+      if (missing > 0)
+        printf "%d baseline ids not produced by this run; remove deleted ids from the baseline\n", missing | "cat >&2"
+      if (n == 0)
         print "no overlapping benchmark ids between baseline and fresh run" | "cat >&2"
-        exit 1
-      }
-      if (bad > 0) {
+      if (bad > 0)
         printf "%d of %d benchmarks regressed by more than x%.2f\n", bad, n, tol | "cat >&2"
+      if (missing > 0 || n == 0 || bad > 0)
         exit 1
-      }
       printf "all %d benchmarks within x%.2f of baseline\n", n, tol
     }
   ' "$base" "$fresh"
