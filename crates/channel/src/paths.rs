@@ -15,7 +15,7 @@
 use crate::dynamics::Blocker;
 use crate::endpoint::Endpoint;
 use crate::index::SceneIndex;
-use crate::linear::{BilinearTerm, LinearTerm};
+use crate::linear::LinearTerm;
 use crate::surface::SurfaceInstance;
 use crate::trace::{
     BounceTrace, CascadeTrace, ChannelTrace, DirectTrace, ElementLeg, SegmentTrace, SurfaceTrace,
@@ -530,27 +530,6 @@ pub fn cascade_coeffs(
     second: &SurfaceInstance,
 ) -> Option<(Vec<Complex>, Vec<Complex>)> {
     trace_cascade(medium, tx, rx, first, second, usize::MAX, usize::MAX)?.coeffs_at(&medium.band)
-}
-
-/// Builds the bilinear term for an ordered surface pair, with indices.
-pub fn cascade_term(
-    medium: &Medium,
-    tx: &Endpoint,
-    rx: &Endpoint,
-    surfaces: &[SurfaceInstance],
-    first_idx: usize,
-    second_idx: usize,
-) -> Option<BilinearTerm> {
-    trace_cascade(
-        medium,
-        tx,
-        rx,
-        &surfaces[first_idx],
-        &surfaces[second_idx],
-        first_idx,
-        second_idx,
-    )?
-    .term_at(&medium.band)
 }
 
 /// Enumerates every path of a link into one band-independent record.

@@ -518,48 +518,14 @@ impl ChannelSim {
         })
     }
 
-    /// Linearizes `tx` against a probe placed at each of `points` (antenna
-    /// and polarization follow `rx_template`) — the objective-sampling
-    /// pattern. One scene index, one template clone per worker, and
-    /// chunk-ordered fan-out: element `i` is bit-identical to moving the
-    /// template to `points[i]` and calling [`ChannelSim::linearize`].
-    pub fn linearize_sweep(
-        &self,
-        tx: &Endpoint,
-        points: &[Vec3],
-        rx_template: &Endpoint,
-    ) -> Vec<Linearization> {
-        let _span = surfos_obs::span!("channel.linearize");
-        surfos_obs::observe("channel.batch.width", points.len() as u64);
-        let index = self.scene_index();
-        par::par_map_with(
-            points,
-            || rx_template.clone(),
-            |rx, p| {
-                rx.pose.position = *p;
-                self.trace_with(&index, tx, rx).linearize_at(&self.band)
-            },
-        )
-    }
-
-    /// Traces many links in one call, returning their band-independent
-    /// [`ChannelTrace`]s: the wideband sibling of
-    /// [`ChannelSim::linearize_batch`]. Callers that sweep bands keep the
-    /// traces and re-phase them with [`ChannelTrace::linearize_at`]
-    /// instead of re-tracing — `linearize_at` at the simulator's band is
-    /// bit-identical to [`ChannelSim::linearize`] on the same pair.
-    pub fn trace_batch(&self, pairs: &[(&Endpoint, &Endpoint)]) -> Vec<ChannelTrace> {
-        let _span = surfos_obs::span!("channel.linearize");
-        surfos_obs::observe("channel.batch.width", pairs.len() as u64);
-        let index = self.scene_index();
-        par::par_map(pairs, |(tx, rx)| self.trace_with(&index, tx, rx))
-    }
-
     /// Traces `tx` against a probe placed at each of `points` (antenna and
     /// polarization follow `rx_template`), returning band-independent
-    /// [`ChannelTrace`]s: the wideband sibling of
-    /// [`ChannelSim::linearize_sweep`]. Multi-band objectives build on
-    /// this — trace the grid once, re-phase per band.
+    /// [`ChannelTrace`]s — the objective-sampling pattern. One scene
+    /// index, one template clone per worker, and chunk-ordered fan-out:
+    /// element `i` is bit-identical to moving the template to `points[i]`
+    /// and calling [`ChannelSim::trace`]. Objectives build on this —
+    /// trace the grid once, re-phase per band with
+    /// [`ChannelTrace::linearize_at`].
     pub fn trace_sweep(
         &self,
         tx: &Endpoint,
@@ -1507,18 +1473,14 @@ mod tests {
     }
 
     #[test]
-    fn trace_batch_and_sweep_match_serial() {
-        let (sim, ap, rx) = rich_sim();
-        let rx2 = iso_client("c2", Vec3::new(2.5, 1.8, 1.2));
-        let pairs = [(&ap, &rx), (&ap, &rx2)];
-        for (traced, (tx, rx)) in sim.trace_batch(&pairs).iter().zip(&pairs) {
-            let lin = traced.linearize_at(&sim.band);
-            let serial = sim.linearize(tx, rx);
-            assert_eq!(lin.constant, serial.constant);
-            assert_eq!(lin.linear.len(), serial.linear.len());
-        }
+    fn trace_sweep_matches_serial() {
+        let (sim, ap, _) = rich_sim();
         let template = iso_client("probe", Vec3::ZERO);
-        let points = [Vec3::new(6.0, 1.0, 1.2), Vec3::new(2.5, 1.8, 1.2)];
+        let points = [
+            Vec3::new(6.0, 1.0, 1.2),
+            Vec3::new(2.5, 1.8, 1.2),
+            Vec3::new(7.5, 2.5, 1.2),
+        ];
         for (traced, p) in sim.trace_sweep(&ap, &points, &template).iter().zip(&points) {
             let mut probe = template.clone();
             probe.pose.position = *p;
@@ -1561,25 +1523,6 @@ mod tests {
                 assert_eq!(a.alpha, b.alpha);
                 assert_eq!(a.beta, b.beta);
             }
-        }
-    }
-
-    #[test]
-    fn linearize_sweep_matches_moved_template() {
-        let (sim, ap, _) = rich_sim();
-        let template = iso_client("probe", Vec3::ZERO);
-        let points = [
-            Vec3::new(6.0, 1.0, 1.2),
-            Vec3::new(2.5, 1.8, 1.2),
-            Vec3::new(7.5, 2.5, 1.2),
-        ];
-        let sweep = sim.linearize_sweep(&ap, &points, &template);
-        for (p, lin) in points.iter().zip(&sweep) {
-            let mut rx = template.clone();
-            rx.pose.position = *p;
-            let serial = sim.linearize(&ap, &rx);
-            assert_eq!(serial.constant, lin.constant);
-            assert_eq!(serial.linear.len(), lin.linear.len());
         }
     }
 

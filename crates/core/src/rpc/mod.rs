@@ -18,5 +18,8 @@
 pub mod frame;
 pub mod proto;
 
+#[cfg(test)]
+mod fuzz;
+
 pub use frame::{read_frame, write_frame, FrameBuf, FrameError, MAX_FRAME_LEN};
 pub use proto::{ProtoError, Request, RequestEnvelope, Response, PROTOCOL_VERSION};

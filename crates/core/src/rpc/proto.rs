@@ -433,10 +433,17 @@ fn get_u64(v: &JsonValue, field: &str) -> Result<u64, ProtoError> {
         .ok_or_else(|| ProtoError(format!("missing or non-integer field {field:?}")))
 }
 
+/// A finite number: an overflowing literal such as `1e999` parses to an
+/// infinity, which the encoder could only write back as `null`.
 fn get_f64(v: &JsonValue, field: &str) -> Result<f64, ProtoError> {
     v.get(field)
         .and_then(JsonValue::as_f64)
-        .ok_or_else(|| ProtoError(format!("missing or non-numeric field {field:?}")))
+        .filter(|f| f.is_finite())
+        .ok_or_else(|| {
+            ProtoError(format!(
+                "missing, non-numeric or non-finite field {field:?}"
+            ))
+        })
 }
 
 fn get_str(v: &JsonValue, field: &str) -> Result<String, ProtoError> {
@@ -568,6 +575,10 @@ mod tests {
             (
                 r#"{"v":1,"id":0,"op":"release","service":-2}"#,
                 "\"service\"",
+            ),
+            (
+                r#"{"v":1,"id":0,"op":"register","kind":"coverage","subject":"x","value":1e999}"#,
+                "non-finite field \"value\"",
             ),
             (r#"{"v":1,"id":0.5,"op":"ping"}"#, "\"id\""),
             (r#"{"v":1,"id":0,"tenant":7,"op":"ping"}"#, "\"tenant\""),

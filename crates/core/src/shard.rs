@@ -379,15 +379,12 @@ impl ShardedKernel {
                 tx.id, rx.id
             ));
         }
-        // One endpoint may serve several links (an AP with many clients);
-        // register each id with the shard kernel once.
+        // One endpoint may serve several links (an AP with many clients)
+        // or be registered already by `add_endpoint`; register each id
+        // with the shard kernel once.
         let shard = &mut self.shards[zt];
         for ep in [&tx, &rx] {
-            let seen = shard
-                .links
-                .iter()
-                .any(|(a, b)| a.id == ep.id || b.id == ep.id);
-            if !seen {
+            if shard.kernel.orchestrator().endpoint(&ep.id).is_none() {
                 shard.kernel.add_endpoint(ep.clone());
             }
         }
@@ -832,6 +829,27 @@ mod tests {
             Zone::new(10.0, f64::NEG_INFINITY, f64::INFINITY, f64::INFINITY),
         ];
         ShardedKernel::new(&plan, surfos_em::band::NamedBand::MmWave28GHz.band(), zones);
+    }
+
+    #[test]
+    fn link_to_a_registered_endpoint_registers_it_once() {
+        let mut kernel = demo_campus(1).kernel;
+        let ap = Endpoint::access_point(
+            "x-ap",
+            Pose::wall_mounted(Vec3::new(1.0, 3.0, 2.0), Vec3::X),
+        );
+        let client = Endpoint::client("x-laptop", Vec3::new(2.0, 1.5, 1.2));
+        let zone = kernel.add_endpoint(ap.clone());
+        let first = kernel.add_link(ap.clone(), client.clone()).unwrap();
+        let second = kernel.add_link(ap, client).unwrap();
+        assert_ne!(first, second);
+        let orch = kernel.shard(zone).kernel().orchestrator();
+        assert!(orch.endpoint("x-ap").is_some());
+        assert!(orch.endpoint("x-laptop").is_some());
+        // A loopback link names one endpoint twice.
+        let probe = Endpoint::client("x-probe", Vec3::new(3.0, 1.5, 1.2));
+        kernel.add_link(probe.clone(), probe).unwrap();
+        kernel.replay_tick(10);
     }
 
     #[test]

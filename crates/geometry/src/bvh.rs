@@ -644,7 +644,7 @@ impl Bvh {
         out
     }
 
-    /// Packet analogue of [`Self::segment_candidates_until`]: walks the
+    /// Packet analogue of [`Self::for_each_segment_candidate`]: walks the
     /// tree **once** for up to [`SegmentPacket::LANES`] segments, testing
     /// every packed node box against all lanes with one vectorized slab
     /// test and sharing the traversal stack.
@@ -653,46 +653,40 @@ impl Bvh {
     /// pair — `prim` is the caller's original primitive index, `slot` its
     /// position in the tree's internal order (stable for a given tree;
     /// callers keeping slot-ordered side tables get sequential reads
-    /// inside each leaf). Returning `true` retires that lane (the any-hit
-    /// early exit), and the traversal stops once every lane has retired.
-    /// Per lane, the candidate stream is the same conservative superset
-    /// contract as the scalar traversal — a superset of the primitives
-    /// the segment truly touches, in the same deterministic depth-first
-    /// order — so callers that run the exact test per candidate and sort
-    /// by `(t, index)` get results bit-identical to per-segment scalar
-    /// queries.
-    ///
-    /// Returns the bitmask of lanes whose `visit` returned `true`.
+    /// inside each leaf). There is no early exit. Per lane, the candidate
+    /// stream is the same conservative superset contract as the scalar
+    /// traversal — a superset of the primitives the segment truly
+    /// touches, in the same deterministic depth-first order — so callers
+    /// that run the exact test per candidate and sort by `(t, index)` get
+    /// results bit-identical to per-segment scalar queries.
     ///
     /// `#[inline(always)]` is load-bearing: AVX2 instantiations must
     /// inline into their caller's `#[target_feature(enable = "avx2")]`
     /// frame so the lane intrinsics compile to bare instructions.
     #[inline(always)]
-    pub fn packet_candidates_until<V: SimdF32x8>(
+    pub fn for_each_packet_candidate<V: SimdF32x8>(
         &self,
         packet: &SegmentPacket<V>,
-        mut visit: impl FnMut(usize, usize, usize) -> bool,
-    ) -> u8 {
+        mut visit: impl FnMut(usize, usize, usize),
+    ) {
         if self.nodes.is_empty() {
-            return 0;
+            return;
         }
         let obs_on = surfos_obs::enabled();
-        let mut live = packet.active_bitmask();
-        let mut done = 0u8;
         let mut nodes_visited = 0u64;
         let mut candidates = 0u64;
         let mut stack_node = [0u32; MAX_DEPTH];
         let mut stack_mask = [0u8; MAX_DEPTH];
         let mut sp = 0usize;
+        // A packet holds at least one segment, so the root mask is never
+        // empty, and a child is pushed only with the nonzero mask of lanes
+        // that hit its parent.
         stack_node[sp] = 0;
-        stack_mask[sp] = live;
+        stack_mask[sp] = packet.active_bitmask();
         sp += 1;
-        'traverse: while sp > 0 {
+        while sp > 0 {
             sp -= 1;
-            let m = stack_mask[sp] & live;
-            if m == 0 {
-                continue;
-            }
+            let m = stack_mask[sp];
             let node = &self.nodes[stack_node[sp] as usize];
             nodes_visited += 1;
             if obs_on {
@@ -713,18 +707,12 @@ impl Bvh {
                     // the primitive's own (conservatively rounded) box culls
                     // the union slack before the exact per-candidate test.
                     let pb = &self.prim_boxes[start + slot];
-                    let mut lanes = packet.test_box(&pb.min, &pb.max) & hit & live;
+                    let mut lanes = packet.test_box(&pb.min, &pb.max) & hit;
                     while lanes != 0 {
                         let lane = lanes.trailing_zeros() as usize;
                         lanes &= lanes - 1;
                         candidates += 1;
-                        if visit(lane, start + slot, prim as usize) {
-                            done |= 1 << lane;
-                            live &= !(1 << lane);
-                            if live == 0 {
-                                break 'traverse;
-                            }
-                        }
+                        visit(lane, start + slot, prim as usize);
                     }
                 }
             } else {
@@ -751,23 +739,6 @@ impl Bvh {
             surfos_obs::add("geometry.bvh.candidates", candidates);
             surfos_obs::add("geometry.bvh.brute_walls", self.order.len() as u64 * lanes);
         }
-        done
-    }
-
-    /// Calls `visit(lane, slot, prim)` for every packet candidate (no
-    /// early exit); packet analogue of
-    /// [`Self::for_each_segment_candidate`]. Inlines always, for the
-    /// same reason as [`Self::packet_candidates_until`].
-    #[inline(always)]
-    pub fn for_each_packet_candidate<V: SimdF32x8>(
-        &self,
-        packet: &SegmentPacket<V>,
-        mut visit: impl FnMut(usize, usize, usize),
-    ) {
-        self.packet_candidates_until(packet, |lane, slot, prim| {
-            visit(lane, slot, prim);
-            false
-        });
     }
 
     /// The tree's internal primitive order: `order()[slot]` is the
@@ -790,7 +761,7 @@ const PACKET_D_EPS: f32 = 1e-3;
 
 /// Up to eight segments bundled lane-per-segment in SoA form, with the
 /// per-lane reciprocals, slab slacks and degenerate-axis masks hoisted so
-/// the per-node work inside [`Bvh::packet_candidates_until`] is pure
+/// the per-node work inside [`Bvh::for_each_packet_candidate`] is pure
 /// vector arithmetic.
 ///
 /// The slab test runs in `f32` against the packed node bounds. Every
@@ -1349,29 +1320,10 @@ mod tests {
     }
 
     #[test]
-    fn packet_early_exit_retires_only_that_lane() {
-        let boxes = scene_boxes(11, 80);
-        let bvh = Bvh::build(&boxes);
-        let seg = (Vec3::new(-1.0, -1.0, 1.0), Vec3::new(21.0, 21.0, 2.0));
-        let packet = SegmentPacket::<F32x8>::new(&[seg, seg, seg]);
-        let mut counts = [0usize; 3];
-        let done = bvh.packet_candidates_until(&packet, |lane, _, _| {
-            counts[lane] += 1;
-            lane == 1
-        });
-        assert_eq!(done, 0b010, "only lane 1 asked to retire");
-        assert_eq!(counts[1], 1, "retired lane sees no further candidates");
-        // The surviving identical lanes keep visiting the full stream.
-        assert!(counts[0] > 1);
-        assert_eq!(counts[0], counts[2]);
-    }
-
-    #[test]
     fn packet_on_empty_tree_visits_nothing() {
         let bvh = Bvh::build(&[]);
         let packet = SegmentPacket::<F32x8>::new(&[(Vec3::ZERO, Vec3::new(1.0, 1.0, 1.0))]);
-        let done = bvh.packet_candidates_until(&packet, |_, _, _| panic!("no candidates expected"));
-        assert_eq!(done, 0);
+        bvh.for_each_packet_candidate(&packet, |_, _, _| panic!("no candidates expected"));
     }
 
     #[test]

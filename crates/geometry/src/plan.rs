@@ -716,7 +716,7 @@ impl FloorPlan {
     /// the same order.
     ///
     /// Segments are traced in packets of up to [`SegmentPacket::LANES`]
-    /// through [`Bvh::packet_candidates_until`], so coherent batches (the
+    /// through [`Bvh::for_each_packet_candidate`], so coherent batches (the
     /// bounce-leg fans of a link trace) share most of their node visits,
     /// and each lane's surviving candidates run the exact `f64` crossing
     /// solve four walls at a time (`crossing_t_x4`). Every accepted `t`
@@ -888,102 +888,6 @@ impl FloorPlan {
                         })
                         .collect(),
                 );
-            }
-        }
-    }
-
-    /// [`FloorPlan::has_los_with`] for a whole batch of segments: one
-    /// bool per input segment, in the same order, bit-identical to the
-    /// per-segment query. Lanes retire from the shared packet traversal
-    /// as soon as an exact wall crossing confirms them blocked.
-    pub fn has_los_batch(&self, index: &WallIndex, segments: &[(Vec3, Vec3)]) -> Vec<bool> {
-        self.has_los_batch_with(index, surfos_em::simd::backend(), segments)
-    }
-
-    /// [`Self::has_los_batch`] with an explicit kernel arm, for benches
-    /// and cross-backend equivalence tests. The scalar reference arm runs
-    /// the per-segment scalar query in a loop.
-    ///
-    /// # Panics
-    /// Panics if `Backend::Avx2` is forced on a host without AVX2+FMA.
-    #[doc(hidden)]
-    pub fn has_los_batch_with(
-        &self,
-        index: &WallIndex,
-        backend: Backend,
-        segments: &[(Vec3, Vec3)],
-    ) -> Vec<bool> {
-        debug_assert_eq!(index.wall_count(), self.walls.len(), "stale wall index");
-        let mut out = Vec::with_capacity(segments.len());
-        match backend {
-            Backend::Scalar => {
-                for &(from, to) in segments {
-                    out.push(self.has_los_with(index, from, to));
-                }
-            }
-            #[cfg(target_arch = "x86_64")]
-            Backend::Avx2 => {
-                assert!(
-                    surfos_em::simd::avx2_available(),
-                    "Backend::Avx2 forced without AVX2+FMA support"
-                );
-                // SAFETY: avx2 presence asserted just above.
-                unsafe { self.has_los_batch_avx2(index, segments, &mut out) }
-            }
-            _ => self.has_los_batch_impl::<F32x8>(index, segments, &mut out),
-        }
-        out
-    }
-
-    /// AVX2 entry point for the batch LOS query.
-    ///
-    /// # Safety
-    /// Requires the `avx2` CPU feature (the dispatch arm checks).
-    #[cfg(target_arch = "x86_64")]
-    #[target_feature(enable = "avx2")]
-    unsafe fn has_los_batch_avx2(
-        &self,
-        index: &WallIndex,
-        segments: &[(Vec3, Vec3)],
-        out: &mut Vec<bool>,
-    ) {
-        self.has_los_batch_impl::<surfos_em::simd::avx2::F32x8A>(index, segments, out);
-    }
-
-    /// The wide LOS body. The per-candidate crossing solve stays scalar
-    /// here: the any-hit early exit retires lanes after very few exact
-    /// tests, so there is rarely a fourth candidate to fill an `f64`
-    /// vector with.
-    #[inline(always)]
-    fn has_los_batch_impl<V: SimdF32x8>(
-        &self,
-        index: &WallIndex,
-        segments: &[(Vec3, Vec3)],
-        out: &mut Vec<bool>,
-    ) {
-        let mut t_margins = [0.0f64; SegmentPacket::<F32x8>::LANES];
-        let mut ops = [[0.0f64; 6]; SegmentPacket::<F32x8>::LANES];
-        for chunk in segments.chunks(SegmentPacket::<F32x8>::LANES) {
-            let packet = SegmentPacket::<V>::new(chunk);
-            for (lane, &(from, to)) in chunk.iter().enumerate() {
-                t_margins[lane] = Wall::t_margin(from, to);
-                ops[lane] = [
-                    from.x,
-                    from.y,
-                    to.x - from.x,
-                    to.y - from.y,
-                    from.z,
-                    to.z - from.z,
-                ];
-            }
-            let blocked = index.bvh.packet_candidates_until(&packet, |lane, slot, _| {
-                let [px, py, rx, ry, fz, dz] = ops[lane];
-                index.soa[slot]
-                    .crossing_t(px, py, rx, ry, fz, dz, t_margins[lane])
-                    .is_some()
-            });
-            for lane in 0..chunk.len() {
-                out.push(blocked & (1 << lane) == 0);
             }
         }
     }
@@ -1278,10 +1182,10 @@ mod tests {
             n in 0usize..96,
             k in 1usize..20,
         ) {
-            // Packet-traced batches must reproduce the per-segment scalar
-            // queries bit for bit, for every batch length — including
-            // remainder packets narrower than the lane width and batches
-            // spanning several packets.
+            // Packet-traced crossing batches must reproduce the
+            // per-segment scalar query bit for bit, for every batch
+            // length — including remainder packets narrower than the
+            // lane width and batches spanning several packets.
             let plan = cluttered(n, seed);
             let mut state = seed ^ 0xA5A5_5A5A;
             let mut next = move || {
@@ -1306,22 +1210,15 @@ mod tests {
             let index = plan.build_wall_index();
             // Every runnable kernel arm — scalar reference, portable
             // pair lanes, native AVX2 — must agree bit for bit with
-            // the per-segment scalar queries.
+            // the per-segment scalar query.
             for backend in runnable_backends() {
                 let crossings = plan.crossings_batch_with(&index, backend, &segments);
-                let los = plan.has_los_batch_with(&index, backend, &segments);
                 prop_assert_eq!(crossings.len(), k);
-                prop_assert_eq!(los.len(), k);
                 for (i, &(from, to)) in segments.iter().enumerate() {
                     prop_assert_eq!(
                         &crossings[i],
                         &plan.crossings_with(&index, from, to),
                         "{:?} crossings diverged for segment {}", backend, i
-                    );
-                    prop_assert_eq!(
-                        los[i],
-                        plan.has_los_with(&index, from, to),
-                        "{:?} has_los diverged for segment {}", backend, i
                     );
                 }
             }

@@ -7,9 +7,7 @@
 //! the sequence numbers too (a snapshot whose first event has `seq > 0`
 //! dropped exactly `seq` older events).
 //!
-//! Capacity defaults to [`DEFAULT_CAPACITY`] and can be overridden with the
-//! `SURFOS_JOURNAL_CAP` environment variable (clamped to
-//! 16..=1_048_576; read once when the registry initializes).
+//! The registry's journal holds [`DEFAULT_CAPACITY`] events.
 
 use std::collections::VecDeque;
 
@@ -17,17 +15,6 @@ use std::collections::VecDeque;
 /// (health transitions, scheduler decisions), small enough that an enabled
 /// journal is a bounded cost.
 pub(crate) const DEFAULT_CAPACITY: usize = 1024;
-
-/// Capacity from `SURFOS_JOURNAL_CAP`, or the default when unset/invalid.
-pub(crate) fn configured_capacity() -> usize {
-    capacity_from(std::env::var("SURFOS_JOURNAL_CAP").ok().as_deref())
-}
-
-fn capacity_from(var: Option<&str>) -> usize {
-    var.and_then(|v| v.trim().parse::<usize>().ok())
-        .map(|v| v.clamp(16, 1 << 20))
-        .unwrap_or(DEFAULT_CAPACITY)
-}
 
 pub(crate) struct Event {
     pub seq: u64,
@@ -44,7 +31,7 @@ pub(crate) struct Journal {
 
 impl Journal {
     pub fn new() -> Self {
-        Self::with_capacity(configured_capacity())
+        Self::with_capacity(DEFAULT_CAPACITY)
     }
 
     pub fn with_capacity(capacity: usize) -> Self {
@@ -100,15 +87,5 @@ mod tests {
         assert_eq!(j.iter().next().unwrap().seq, 4);
         j.clear();
         assert_eq!(j.dropped(), 0);
-    }
-
-    #[test]
-    fn capacity_env_parsing_clamps_and_defaults() {
-        assert_eq!(capacity_from(None), DEFAULT_CAPACITY);
-        assert_eq!(capacity_from(Some("2048")), 2048);
-        assert_eq!(capacity_from(Some(" 64 ")), 64);
-        assert_eq!(capacity_from(Some("1")), 16);
-        assert_eq!(capacity_from(Some("99999999999")), 1 << 20);
-        assert_eq!(capacity_from(Some("nope")), DEFAULT_CAPACITY);
     }
 }

@@ -376,7 +376,7 @@ mod tests {
         let _x = exclusive();
         set_enabled(true);
         reset();
-        let cap = 1024; // default capacity (no SURFOS_JOURNAL_CAP in tests)
+        let cap = journal::DEFAULT_CAPACITY;
         for i in 0..(cap + 10) {
             event!("t", "event {i}");
         }

@@ -6,7 +6,7 @@
 # the per-benchmark medians into a machine-readable BENCH_channel.json at
 # the repo root. With --check, fresh medians are then compared against the
 # checked-in BENCH_baseline.json and the script exits non-zero when any
-# benchmark regressed by more than PERF_TOLERANCE (default 1.25 = 25 %).
+# benchmark regressed by more than the global tolerance (1.25 = 25 %).
 # A full run (no --group) also fails on, and names, every baseline id the
 # fresh run did not produce: a deleted or renamed bench must leave the
 # baseline in the same change. BENCH_channel.json is generated output and
@@ -22,7 +22,6 @@
 #   scripts/perf_smoke.sh --check-only       # gate an existing BENCH_channel.json
 #   scripts/perf_smoke.sh --group campus     # run only bench targets matching "campus"
 #   SURFOS_THREADS=1 scripts/perf_smoke.sh   # serial baseline
-#   PERF_TOLERANCE=1.5 scripts/perf_smoke.sh --check   # looser gate
 #
 # --group limits the run to bench targets whose name contains the given
 # substring (and skips the obs_smoke attachment). Combine with --check to
@@ -51,7 +50,7 @@ while [[ $# -gt 0 ]]; do
   shift
 done
 
-tolerance="${PERF_TOLERANCE:-1.25}"
+tolerance=1.25
 baseline_file="BENCH_baseline.json"
 fresh_file="BENCH_channel.json"
 
