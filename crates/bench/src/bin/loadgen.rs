@@ -24,7 +24,6 @@
 //!   so identical invocations replay identical request streams.
 //! - `--rate R` — target requests/second across all connections
 //!   (0 = closed loop, as fast as responses return; default 0).
-//! - `--workers N` — client worker threads (0 = auto).
 //! - `--tenant NAME` — claim one shared tenant on every connection
 //!   (default: each connection gets its own auto tenant).
 //! - `--tx ID` / `--rx ID` — endpoints for `query` ops (default `ap0` /
@@ -34,20 +33,26 @@
 //! - `--metrics-json PATH` / `--deterministic-metrics` — dump the client
 //!   side observability snapshot on exit (`-` for stdout).
 //!
+//! Connections are dealt round-robin to `min(SURFOS_THREADS or available
+//! parallelism, 8, --conns)` worker threads. Each connection is one
+//! [`FramedConn`], the byte pump the daemon's sessions use; a worker
+//! blocks in `poll(2)` over its connections until an answer arrives, a
+//! socket has room, the next `--rate` permit falls due or `--timeout-ms`
+//! runs out.
+//!
 //! Registered leases are recycled: once a connection holds 4, the next
 //! `register` slot releases the oldest instead, so long runs exercise the
 //! full lease lifecycle instead of just saturating quotas. `Rejected`
 //! responses are counted separately — against a small `--capacity` they
 //! are the *expected* outcome and the daemon's admission works.
 
-use std::io::{self, Read, Write};
+use std::io;
 use std::net::TcpStream;
 use std::os::unix::net::UnixStream;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 use surfos::obs;
-use surfos::rpc::frame::{write_frame, FrameBuf};
+use surfos::rpc::conn::{wait, Conn, FramedConn};
 use surfos::rpc::proto::{Request, RequestEnvelope, Response};
 
 #[derive(Debug, Clone)]
@@ -58,7 +63,6 @@ struct Args {
     requests: u64,
     mix: Vec<Op>,
     rate: f64,
-    workers: usize,
     tenant: Option<String>,
     tx: String,
     rx: String,
@@ -126,7 +130,6 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
         requests: 1000,
         mix: parse_mix("query:8,register:1").expect("default mix"),
         rate: 0.0,
-        workers: 0,
         tenant: None,
         tx: "ap0".into(),
         rx: "laptop".into(),
@@ -139,40 +142,22 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     fn val(name: &str, v: Option<String>) -> Result<String, String> {
         v.ok_or_else(|| format!("{name} needs a value"))
     }
+    fn num<T: std::str::FromStr>(name: &str, v: Option<String>) -> Result<T, String> {
+        val(name, v)?.parse().map_err(|_| format!("bad {name}"))
+    }
     while let Some(arg) = args.next() {
         match arg.as_str() {
             "--connect" => out.connect = Some(val("--connect", args.next())?),
             "--unix" => out.unix = Some(val("--unix", args.next())?),
-            "--conns" => {
-                out.conns = val("--conns", args.next())?
-                    .parse()
-                    .map_err(|_| "bad --conns")?
-            }
-            "--requests" => {
-                out.requests = val("--requests", args.next())?
-                    .parse()
-                    .map_err(|_| "bad --requests")?
-            }
+            "--conns" => out.conns = num("--conns", args.next())?,
+            "--requests" => out.requests = num("--requests", args.next())?,
             "--mix" => out.mix = parse_mix(&val("--mix", args.next())?)?,
-            "--rate" => {
-                out.rate = val("--rate", args.next())?
-                    .parse()
-                    .map_err(|_| "bad --rate")?
-            }
-            "--workers" => {
-                out.workers = val("--workers", args.next())?
-                    .parse()
-                    .map_err(|_| "bad --workers")?
-            }
+            "--rate" => out.rate = num("--rate", args.next())?,
             "--tenant" => out.tenant = Some(val("--tenant", args.next())?),
             "--tx" => out.tx = val("--tx", args.next())?,
             "--rx" => out.rx = val("--rx", args.next())?,
             "--subject" => out.subject = val("--subject", args.next())?,
-            "--timeout-ms" => {
-                out.timeout_ms = val("--timeout-ms", args.next())?
-                    .parse()
-                    .map_err(|_| "bad --timeout-ms")?
-            }
+            "--timeout-ms" => out.timeout_ms = num("--timeout-ms", args.next())?,
             "--metrics-json" => out.metrics_json = Some(val("--metrics-json", args.next())?),
             "--deterministic-metrics" => out.deterministic = true,
             other => return Err(format!("unknown flag {other}")),
@@ -184,73 +169,22 @@ fn parse_args(argv: impl IntoIterator<Item = String>) -> Result<Args, String> {
     if out.conns == 0 {
         return Err("--conns must be at least 1".into());
     }
+    if !(out.rate.is_finite() && out.rate >= 0.0) {
+        return Err("--rate must be a finite number of requests/s, at least 0".into());
+    }
     Ok(out)
 }
 
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Conn {
-    fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.set_nonblocking(nb),
-            Conn::Unix(s) => s.set_nonblocking(nb),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
-/// One closed-loop client connection (at most one request in flight).
-struct Client {
-    conn: Conn,
-    inbuf: FrameBuf,
-    outbuf: Vec<u8>,
-    out_pos: usize,
-    /// (request id, op name, send time) of the in-flight request.
-    pending: Option<(u64, &'static str, Instant)>,
-    seq: u64,
+/// Where one connection is in the op mix, and the leases it holds.
+struct Schedule {
     mix_idx: usize,
     leases: Vec<u64>,
-    quota: u64,
-    sent: u64,
-    done: u64,
-    dead: bool,
-    tenant_claim: Option<String>,
 }
 
 /// Leases held per connection before `register` slots turn into releases.
 const LEASE_RECYCLE: usize = 4;
 
-impl Client {
-    fn finished(&self) -> bool {
-        self.dead || (self.done >= self.quota && self.pending.is_none())
-    }
-
+impl Schedule {
     fn next_request(&mut self, args: &Args) -> (Request, &'static str) {
         let op = args.mix[self.mix_idx % args.mix.len()];
         self.mix_idx += 1;
@@ -290,64 +224,42 @@ impl Client {
             }
         }
     }
+}
 
-    /// Sends the next scheduled request, if any remain.
-    fn kick(&mut self, args: &Args) {
-        if self.dead || self.pending.is_some() || self.sent >= self.quota {
-            return;
-        }
-        let (request, op) = self.next_request(args);
-        self.seq += 1;
-        let env = match &self.tenant_claim {
-            Some(t) => RequestEnvelope::with_tenant(self.seq, t.clone(), request),
-            None => RequestEnvelope::new(self.seq, request),
-        };
-        let body = env.encode();
-        write_frame(&mut self.outbuf, &body).expect("Vec write is infallible");
-        self.pending = Some((self.seq, op, Instant::now()));
-        self.sent += 1;
+/// One closed-loop client connection (at most one request in flight).
+struct Connection {
+    conn: FramedConn,
+    schedule: Schedule,
+    /// (request id, op name, send time) of the in-flight request.
+    pending: Option<(u64, &'static str, Instant)>,
+    quota: u64,
+    /// Requests sent; the latest one's id.
+    sent: u64,
+    dead: bool,
+}
+
+impl Connection {
+    fn finished(&self) -> bool {
+        self.dead || (self.sent >= self.quota && self.pending.is_none())
     }
 
-    /// Flushes queued bytes; marks the client dead on a broken pipe.
-    fn flush(&mut self) {
-        while self.out_pos < self.outbuf.len() {
-            match self.conn.write(&self.outbuf[self.out_pos..]) {
-                Ok(0) => {
-                    self.dead = true;
-                    return;
-                }
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    return;
-                }
-            }
-        }
-        self.outbuf.clear();
-        self.out_pos = 0;
+    /// Queues the next scheduled request.
+    fn kick(&mut self, args: &Args) {
+        let (request, op) = self.schedule.next_request(args);
+        self.sent += 1;
+        let mut env = RequestEnvelope::new(self.sent, request);
+        env.tenant = args.tenant.clone();
+        self.conn.queue(&env.encode());
+        self.pending = Some((self.sent, op, Instant::now()));
     }
 
     /// Drains responses; records latency per op into the HDR timers.
-    fn drain(&mut self, scratch: &mut [u8]) {
-        loop {
-            match self.conn.read(scratch) {
-                Ok(0) => {
-                    self.dead = true;
-                    break;
-                }
-                Ok(n) => self.inbuf.extend(&scratch[..n]),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    self.dead = true;
-                    break;
-                }
-            }
+    fn drain(&mut self) {
+        if !matches!(self.conn.fill(usize::MAX), Ok(true)) {
+            self.dead = true;
         }
         loop {
-            match self.inbuf.next_frame() {
+            match self.conn.next_frame() {
                 Ok(Some(body)) => self.on_response(&body),
                 Ok(None) => break,
                 Err(_) => {
@@ -378,7 +290,7 @@ impl Client {
         obs::add("loadgen.responses", 1);
         match response {
             Response::Registered { service, .. } => {
-                self.leases.push(service);
+                self.schedule.leases.push(service);
                 obs::add("loadgen.ok", 1);
             }
             Response::Rejected { .. } => obs::add("loadgen.rejected", 1),
@@ -386,78 +298,80 @@ impl Client {
             _ => obs::add("loadgen.ok", 1),
         }
         self.pending = None;
-        self.done += 1;
     }
 }
 
-fn connect(args: &Args, idx: usize) -> io::Result<Conn> {
+fn connect(args: &Args, idx: usize) -> io::Result<FramedConn> {
     // With both listeners given, connections alternate between them.
-    let use_unix = match (&args.connect, &args.unix) {
-        (Some(_), Some(_)) => idx % 2 == 1,
-        (None, Some(_)) => true,
-        _ => false,
-    };
-    let conn = if use_unix {
-        Conn::Unix(UnixStream::connect(args.unix.as_deref().expect("checked"))?)
-    } else {
-        Conn::Tcp(TcpStream::connect(
-            args.connect.as_deref().expect("checked"),
-        )?)
-    };
-    conn.set_nonblocking(true)?;
-    Ok(conn)
+    FramedConn::new(match (&args.connect, &args.unix) {
+        (Some(addr), Some(_)) if idx.is_multiple_of(2) => Conn::Tcp(TcpStream::connect(addr)?),
+        (_, Some(path)) => Conn::Unix(UnixStream::connect(path)?),
+        (Some(addr), None) => Conn::Tcp(TcpStream::connect(addr)?),
+        (None, None) => unreachable!("parse_args requires an address"),
+    })
+}
+
+/// Takes one `--rate` send permit: the n-th request across every worker
+/// may leave once n / rate seconds have passed since `start`. A refusal
+/// carries how long after `start` the next permit falls due.
+fn take_permit(args: &Args, sent_global: &AtomicU64, start: Instant) -> Result<(), Duration> {
+    if args.rate <= 0.0 {
+        return Ok(());
+    }
+    let allowed = (start.elapsed().as_secs_f64() * args.rate) as u64;
+    sent_global
+        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |n| {
+            (n < allowed).then_some(n + 1)
+        })
+        .map(drop)
+        .map_err(|n| {
+            Duration::try_from_secs_f64((n + 1) as f64 / args.rate).unwrap_or(Duration::MAX)
+        })
 }
 
 fn worker(
     args: &Args,
-    mut clients: Vec<Client>,
+    mut conns: Vec<Connection>,
     sent_global: &AtomicU64,
     start: Instant,
-    deadline: Instant,
-) -> (u64, u64, usize) {
-    let mut scratch = [0u8; 4096];
+    timeout: Duration,
+) -> Vec<Connection> {
+    let mut fds = Vec::new();
     loop {
-        let mut moved = false;
-        let mut all_done = true;
-        for c in &mut clients {
-            if c.finished() {
-                continue;
-            }
-            all_done = false;
-            // Pacing: under --rate, a request slot must be earned by
-            // elapsed time before any client may send.
-            let may_send = if args.rate > 0.0 {
-                let allowed = (start.elapsed().as_secs_f64() * args.rate) as u64;
-                if sent_global.load(Ordering::Relaxed) < allowed {
-                    sent_global.fetch_add(1, Ordering::Relaxed) < allowed
-                } else {
-                    false
+        // Both measured from `start`.
+        let mut wake = timeout;
+        for c in &mut conns {
+            if !c.dead && c.pending.is_none() && c.sent < c.quota {
+                match take_permit(args, sent_global, start) {
+                    Ok(()) => c.kick(args),
+                    Err(due) => wake = wake.min(due),
                 }
-            } else {
-                true
-            };
-            let before = c.pending.is_some();
-            if may_send {
-                c.kick(args);
             }
-            c.flush();
-            c.drain(&mut scratch);
-            moved |= c.pending.is_none() || !before;
+            if c.conn.flush().is_err() {
+                c.dead = true;
+            }
         }
-        if all_done {
+        fds.clear();
+        fds.extend(
+            conns
+                .iter()
+                .filter(|c| !c.finished())
+                .map(|c| c.conn.interest(true)),
+        );
+        let elapsed = start.elapsed();
+        if fds.is_empty() || elapsed > timeout {
             break;
         }
-        if Instant::now() > deadline {
-            break;
-        }
-        if !moved {
-            std::thread::sleep(Duration::from_micros(100));
+        wait(&mut fds, Some(wake.saturating_sub(elapsed)));
+        // Nothing changed since `fds` was built, so the open connections
+        // line up with it.
+        for (c, fd) in conns.iter_mut().filter(|c| !c.finished()).zip(&fds) {
+            if fd.ready() {
+                c.drain();
+            }
         }
     }
-    let sent: u64 = clients.iter().map(|c| c.sent).sum();
-    let done: u64 = clients.iter().map(|c| c.done).sum();
-    let dead = clients.iter().filter(|c| c.dead).count();
-    (sent, done, dead)
+    conns
 }
 
 fn fmt_ns(ns: u64) -> String {
@@ -479,7 +393,7 @@ fn main() {
             eprintln!("loadgen: {msg}");
             eprintln!(
                 "usage: surfos-loadgen --connect ADDR|--unix PATH [--conns N] [--requests N] \
-                 [--mix query:8,register:1] [--rate R] [--workers N] [--tenant NAME] \
+                 [--mix query:8,register:1] [--rate R] [--tenant NAME] \
                  [--timeout-ms N] [--metrics-json PATH] [--deterministic-metrics]"
             );
             std::process::exit(2);
@@ -489,7 +403,7 @@ fn main() {
 
     // Open every connection up front — concurrency means simultaneously
     // open sockets, not a connection churn test.
-    let mut clients = Vec::with_capacity(args.conns);
+    let mut conns = Vec::with_capacity(args.conns);
     for i in 0..args.conns {
         let conn = match connect(&args, i) {
             Ok(c) => c,
@@ -500,58 +414,50 @@ fn main() {
         };
         let quota = args.requests / args.conns as u64
             + u64::from((i as u64) < args.requests % args.conns as u64);
-        clients.push(Client {
+        conns.push(Connection {
             conn,
-            inbuf: FrameBuf::new(),
-            outbuf: Vec::new(),
-            out_pos: 0,
+            schedule: Schedule {
+                mix_idx: i, // offset the schedule so conns don't sync-step
+                leases: Vec::new(),
+            },
             pending: None,
-            seq: 0,
-            mix_idx: i, // offset the schedule so conns don't sync-step
-            leases: Vec::new(),
             quota,
             sent: 0,
-            done: 0,
             dead: false,
-            tenant_claim: args.tenant.clone(),
         });
     }
 
-    let workers = if args.workers > 0 {
-        args.workers
-    } else {
-        surfos::channel::par::configured_threads().min(8)
-    }
-    .min(args.conns);
+    let workers = surfos::channel::par::configured_threads()
+        .min(8)
+        .min(args.conns);
 
-    // Deal clients round-robin across workers.
-    let mut shards: Vec<Vec<Client>> = (0..workers).map(|_| Vec::new()).collect();
-    for (i, c) in clients.into_iter().enumerate() {
+    // Deal connections round-robin across workers.
+    let mut shards: Vec<Vec<Connection>> = (0..workers).map(|_| Vec::new()).collect();
+    for (i, c) in conns.into_iter().enumerate() {
         shards[i % workers].push(c);
     }
 
-    let sent_global = Arc::new(AtomicU64::new(0));
+    let sent_global = AtomicU64::new(0);
     let start = Instant::now();
-    let deadline = start + Duration::from_millis(args.timeout_ms);
-    let results: Vec<(u64, u64, usize)> = std::thread::scope(|scope| {
+    let timeout = Duration::from_millis(args.timeout_ms);
+    let conns: Vec<Connection> = std::thread::scope(|scope| {
         let handles: Vec<_> = shards
             .into_iter()
             .map(|shard| {
-                let args = &args;
-                let sent_global = sent_global.clone();
-                scope.spawn(move || worker(args, shard, &sent_global, start, deadline))
+                let (args, sent_global) = (&args, &sent_global);
+                scope.spawn(move || worker(args, shard, sent_global, start, timeout))
             })
             .collect();
         handles
             .into_iter()
-            .map(|h| h.join().expect("worker"))
+            .flat_map(|h| h.join().expect("worker"))
             .collect()
     });
     let elapsed = start.elapsed();
 
-    let sent: u64 = results.iter().map(|r| r.0).sum();
-    let done: u64 = results.iter().map(|r| r.1).sum();
-    let dead: usize = results.iter().map(|r| r.2).sum();
+    let sent: u64 = conns.iter().map(|c| c.sent).sum();
+    let done = sent - conns.iter().filter(|c| c.pending.is_some()).count() as u64;
+    let dead = conns.iter().filter(|c| c.dead).count();
 
     let snap = obs::snapshot();
     let count = |name: &str| snap.counters.get(name).copied().unwrap_or(0);
@@ -633,9 +539,17 @@ mod tests {
     }
 
     #[test]
+    fn rate_must_be_finite_and_non_negative() {
+        for rate in ["NaN", "inf", "-1"] {
+            let argv = ["--connect", "x", "--rate", rate].map(String::from);
+            assert!(parse_args(argv).unwrap_err().contains("--rate"), "{rate}");
+        }
+    }
+
+    #[test]
     fn register_slots_recycle_leases() {
-        // A client that already holds LEASE_RECYCLE leases turns its next
-        // register slot into a release of the oldest.
+        // A connection that already holds LEASE_RECYCLE leases turns its
+        // next register slot into a release of the oldest.
         let args = parse_args([
             "--connect".into(),
             "x".into(),
@@ -643,32 +557,15 @@ mod tests {
             "register:1".into(),
         ])
         .unwrap();
-        let mut c = Client {
-            conn: Conn::Tcp(loopback_stream()),
-            inbuf: FrameBuf::new(),
-            outbuf: Vec::new(),
-            out_pos: 0,
-            pending: None,
-            seq: 0,
+        let mut s = Schedule {
             mix_idx: 0,
             leases: (1..=LEASE_RECYCLE as u64).collect(),
-            quota: 10,
-            sent: 0,
-            done: 0,
-            dead: false,
-            tenant_claim: None,
         };
-        let (req, op) = c.next_request(&args);
+        let (req, op) = s.next_request(&args);
         assert_eq!(op, "release");
         assert_eq!(req, Request::ReleaseService { service: 1 });
-        assert_eq!(c.leases.len(), LEASE_RECYCLE - 1);
-        let (_, op) = c.next_request(&args);
+        assert_eq!(s.leases.len(), LEASE_RECYCLE - 1);
+        let (_, op) = s.next_request(&args);
         assert_eq!(op, "register");
-    }
-
-    /// A connected-but-unused TCP stream for constructing Clients.
-    fn loopback_stream() -> TcpStream {
-        let l = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        TcpStream::connect(l.local_addr().unwrap()).unwrap()
     }
 }

@@ -10,13 +10,10 @@
 //!   by `surfosd serve --metrics-json` (wired up by the daemon smoke arm
 //!   in `scripts/lint.sh`), validate that.
 
-use std::net::TcpStream;
 use std::sync::Mutex;
-use std::time::Duration;
 use surfos::daemon::{demo_kernel, ServeOptions, Server};
 use surfos::obs::{self, JsonValue};
-use surfos::rpc::frame::{read_frame, write_frame};
-use surfos::rpc::proto::{Request, RequestEnvelope, Response};
+use surfos::rpc::{Client, Request, RequestEnvelope, Response};
 
 static OBS_LOCK: Mutex<()> = Mutex::new(());
 
@@ -84,8 +81,7 @@ fn live_daemon_snapshot_validates() {
         },
     )
     .expect("bind loopback");
-    let mut c = TcpStream::connect(server.tcp_addr().unwrap()).expect("connect");
-    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut c = Client::tcp(server.tcp_addr().unwrap()).expect("connect");
     for id in 1..=10u64 {
         let req = if id % 2 == 0 {
             Request::QueryChannel {
@@ -95,12 +91,8 @@ fn live_daemon_snapshot_validates() {
         } else {
             Request::Ping
         };
-        write_frame(&mut c, &RequestEnvelope::new(id, req).encode()).unwrap();
-        let body = read_frame(&mut c).unwrap().expect("answer");
-        assert!(!matches!(
-            Response::decode(&body).unwrap().1,
-            Response::Error { .. }
-        ));
+        let answer = c.call(&RequestEnvelope::new(id, req)).expect("answer");
+        assert!(!matches!(answer, Response::Error { .. }));
     }
     drop(c);
     server.stop();

@@ -22,12 +22,11 @@
 //! plus a *wake descriptor* (one end of a socket pair): the acceptor
 //! writes a byte to a worker's wake descriptor after a handoff, and
 //! [`Server::stop`] writes one to every thread's. A worker serves only
-//! the sessions `poll` reports ready: drain bytes into a [`FrameBuf`],
-//! decode complete frames, dispatch, queue the response bytes, flush.
-//! Accepted TCP sockets set `TCP_NODELAY`, so an answer written while an
-//! earlier one is still unacknowledged is not held back until the client's
-//! delayed ACK. Kernel and registry state live behind one mutex — the
-//! kernel is single-threaded by design, so the pool buys *I/O*
+//! the sessions `poll` reports ready, each through the [`FramedConn`] byte
+//! pump every service-plane peer uses (nonblocking, `TCP_NODELAY`): drain
+//! bytes into its frame buffer, decode complete frames, dispatch, queue
+//! the response bytes, flush. Kernel and registry state live behind one
+//! mutex — the kernel is single-threaded by design, so the pool buys *I/O*
 //! concurrency (thousands of idle connections are cheap) while dispatch
 //! stays serialized and deterministic. An optional ticker thread drives
 //! [`SurfOS::step`] so registered services actually get scheduled and
@@ -49,12 +48,13 @@
 //! *claimed* tenants outlive their connections, so a client can reconnect
 //! and release its leases by id.
 
-use crate::rpc::frame::{write_frame, FrameBuf};
+use crate::rpc::conn::{wait, Conn, FramedConn, PollFd, POLLIN};
+use crate::rpc::frame::write_frame;
 use crate::rpc::proto::{ProtoError, Request, RequestEnvelope, Response, PROTOCOL_VERSION};
 use crate::SurfOS;
 use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
-use std::os::unix::io::{AsRawFd, RawFd};
+use std::net::{SocketAddr, TcpListener};
+use std::os::unix::io::AsRawFd;
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::{self, AssertUnwindSafe};
 use std::path::PathBuf;
@@ -312,69 +312,9 @@ pub fn demo_kernel() -> SurfOS {
     os
 }
 
-/// One live connection, TCP or unix.
-enum Conn {
-    Tcp(TcpStream),
-    Unix(UnixStream),
-}
-
-impl Conn {
-    /// Readies an accepted connection for a session: nonblocking, and for
-    /// TCP no Nagle. A response is already one frame per `write`, so
-    /// coalescing gains nothing, while holding a small answer back until
-    /// the previous one is acknowledged costs the client's delayed-ACK
-    /// timeout (up to 40 ms) whenever two answers are pipelined.
-    fn prepare(&self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => {
-                s.set_nonblocking(true)?;
-                s.set_nodelay(true)
-            }
-            Conn::Unix(s) => s.set_nonblocking(true),
-        }
-    }
-}
-
-impl AsRawFd for Conn {
-    fn as_raw_fd(&self) -> RawFd {
-        match self {
-            Conn::Tcp(s) => s.as_raw_fd(),
-            Conn::Unix(s) => s.as_raw_fd(),
-        }
-    }
-}
-
-impl Read for Conn {
-    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.read(buf),
-            Conn::Unix(s) => s.read(buf),
-        }
-    }
-}
-
-impl Write for Conn {
-    fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
-        match self {
-            Conn::Tcp(s) => s.write(buf),
-            Conn::Unix(s) => s.write(buf),
-        }
-    }
-    fn flush(&mut self) -> io::Result<()> {
-        match self {
-            Conn::Tcp(s) => s.flush(),
-            Conn::Unix(s) => s.flush(),
-        }
-    }
-}
-
 /// Per-connection session state owned by one worker.
 struct Session {
-    conn: Conn,
-    inbuf: FrameBuf,
-    /// Encoded response bytes not yet accepted by the socket.
-    outbuf: Vec<u8>,
-    out_pos: usize,
+    conn: FramedConn,
     tenant: String,
     /// False until the first request; that request's `tenant` claim (if
     /// any) rebinds the session.
@@ -389,104 +329,13 @@ struct Session {
 const READ_QUANTUM: usize = 64 * 1024;
 
 impl Session {
-    fn new(conn: Conn, id: u64) -> Self {
+    fn new(conn: FramedConn, id: u64) -> Self {
         Session {
             conn,
-            inbuf: FrameBuf::new(),
-            outbuf: Vec::new(),
-            out_pos: 0,
             tenant: format!("conn-{id}"),
             bound: false,
             auto_tenant: true,
             closing: false,
-        }
-    }
-
-    fn queue(&mut self, body: &str) {
-        write_frame(&mut self.outbuf, body).expect("Vec write is infallible");
-    }
-
-    /// Pushes queued bytes into the socket; returns false on a dead peer.
-    fn flush(&mut self) -> bool {
-        while self.out_pos < self.outbuf.len() {
-            match self.conn.write(&self.outbuf[self.out_pos..]) {
-                Ok(0) => return false,
-                Ok(n) => self.out_pos += n,
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => return false,
-            }
-        }
-        if self.out_pos == self.outbuf.len() {
-            self.outbuf.clear();
-            self.out_pos = 0;
-        }
-        true
-    }
-
-    fn flushed(&self) -> bool {
-        self.out_pos == self.outbuf.len()
-    }
-
-    /// What the worker waits for on this session: more requests unless it
-    /// is closing, and room to write while queued answers are unflushed.
-    fn interest(&self) -> PollFd {
-        let mut events = if self.closing { 0 } else { POLLIN };
-        if !self.flushed() {
-            events |= POLLOUT;
-        }
-        PollFd::new(self.conn.as_raw_fd(), events)
-    }
-}
-
-/// One `struct pollfd`, as `poll(2)` takes it.
-#[repr(C)]
-struct PollFd {
-    fd: i32,
-    events: i16,
-    revents: i16,
-}
-
-const POLLIN: i16 = 0x001;
-const POLLOUT: i16 = 0x004;
-
-extern "C" {
-    fn poll(fds: *mut PollFd, nfds: std::os::raw::c_ulong, timeout: std::os::raw::c_int) -> i32;
-}
-
-impl PollFd {
-    fn new(fd: RawFd, events: i16) -> Self {
-        PollFd {
-            fd,
-            events,
-            revents: 0,
-        }
-    }
-
-    /// Whether `poll` reported anything on this fd (including hang-up or
-    /// error, which it reports whatever was asked for).
-    fn ready(&self) -> bool {
-        self.revents != 0
-    }
-}
-
-/// Blocks until at least one of `fds` is ready; there is no timeout,
-/// because every reason to wake arrives as a byte on some descriptor. A
-/// `poll` that fails for any reason but a signal marks every fd ready, so
-/// the caller degrades to a full nonblocking sweep instead of stalling.
-fn wait(fds: &mut [PollFd]) {
-    loop {
-        // SAFETY: `fds` is a live, exclusively borrowed slice of
-        // `#[repr(C)]` pollfd records and `nfds` is its exact length.
-        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as std::os::raw::c_ulong, -1) };
-        if n >= 0 {
-            return;
-        }
-        if io::Error::last_os_error().kind() != io::ErrorKind::Interrupted {
-            for fd in fds.iter_mut() {
-                fd.revents = POLLIN;
-            }
-            return;
         }
     }
 }
@@ -696,14 +545,14 @@ fn accept_loop(
     fds.extend(unix.iter().map(|l| PollFd::new(l.as_raw_fd(), POLLIN)));
     let mut conn_seq: u64 = 0;
     loop {
-        wait(&mut fds);
+        wait(&mut fds, None);
         if fds[0].ready() {
             drain_wakes(wake_rx);
             if stop.load(Ordering::SeqCst) {
                 return;
             }
         }
-        let mut incoming: Vec<Conn> = Vec::new();
+        let mut incoming = Vec::new();
         if let Some(l) = &tcp {
             while let Ok((s, _)) = l.accept() {
                 incoming.push(Conn::Tcp(s));
@@ -730,9 +579,9 @@ fn accept_loop(
                 let _ = write_frame(&mut conn, &body);
                 continue;
             }
-            if conn.prepare().is_err() {
+            let Ok(conn) = FramedConn::new(conn) else {
                 continue;
-            }
+            };
             conn_seq += 1;
             live.fetch_add(1, Ordering::Relaxed);
             obs::add("rpc.conns.opened", 1);
@@ -761,12 +610,13 @@ fn worker_loop(
 ) {
     let mut sessions: Vec<Session> = Vec::new();
     let mut fds: Vec<PollFd> = Vec::new();
-    let mut scratch = [0u8; 4096];
     loop {
         fds.clear();
         fds.push(PollFd::new(wake_rx.as_raw_fd(), POLLIN));
-        fds.extend(sessions.iter().map(Session::interest));
-        wait(&mut fds);
+        // More requests unless closing; room to write while answers are
+        // unflushed.
+        fds.extend(sessions.iter().map(|s| s.conn.interest(!s.closing)));
+        wait(&mut fds, None);
         if fds[0].ready() {
             drain_wakes(wake_rx);
             if stop.load(Ordering::SeqCst) {
@@ -779,7 +629,7 @@ fn worker_loop(
 
         for (s, fd) in sessions.iter_mut().zip(&fds[1..]) {
             if fd.ready() {
-                sweep_session(s, state, &mut scratch);
+                sweep_session(s, state);
             }
         }
 
@@ -787,7 +637,7 @@ fn worker_loop(
         let before = sessions.len();
         let mut dead = Vec::new();
         sessions.retain_mut(|s| {
-            if s.closing && s.flushed() {
+            if s.closing && s.conn.flushed() {
                 dead.push((s.tenant.clone(), s.auto_tenant));
                 false
             } else {
@@ -811,37 +661,16 @@ fn worker_loop(
 /// One sweep over one session that `poll` reported ready: drain readable
 /// bytes (at most [`READ_QUANTUM`]; a session with more is ready again on
 /// the next `poll`), serve every complete frame, flush.
-fn sweep_session(s: &mut Session, state: &Mutex<Dispatcher>, scratch: &mut [u8]) {
-    if !s.closing {
-        let mut drained = 0;
-        loop {
-            match s.conn.read(scratch) {
-                Ok(0) => {
-                    s.closing = true;
-                    break;
-                }
-                Ok(n) => {
-                    s.inbuf.extend(&scratch[..n]);
-                    drained += n;
-                    if drained >= READ_QUANTUM {
-                        break;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
-                Err(_) => {
-                    s.closing = true;
-                    break;
-                }
-            }
-        }
+fn sweep_session(s: &mut Session, state: &Mutex<Dispatcher>) {
+    if !s.closing && !matches!(s.conn.fill(READ_QUANTUM), Ok(true)) {
+        s.closing = true;
     }
 
     // A mid-frame disconnect (EOF with bytes still pending in the frame
     // buffer) is simply dropped: there is no complete request to serve
     // and nobody left to answer.
     loop {
-        match s.inbuf.next_frame() {
+        match s.conn.next_frame() {
             Ok(Some(body)) => serve_frame(s, state, &body),
             Ok(None) => break,
             // Framing is unrecoverable (we cannot resync a byte stream
@@ -852,17 +681,15 @@ fn sweep_session(s: &mut Session, state: &Mutex<Dispatcher>, scratch: &mut [u8])
                     message: format!("framing error: {e}"),
                 }
                 .encode(0);
-                s.queue(&body);
+                s.conn.queue(&body);
                 s.closing = true;
                 break;
             }
         }
     }
 
-    if !s.flush() {
+    if s.conn.flush().is_err() {
         s.closing = true;
-        s.outbuf.clear();
-        s.out_pos = 0;
     }
 }
 
@@ -925,13 +752,14 @@ fn serve_frame(s: &mut Session, state: &Mutex<Dispatcher>, body: &str) {
             rejection.into_response()
         }
     };
-    s.queue(&response.encode(id));
+    s.conn.queue(&response.encode(id));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::rpc::frame::{encode_frame, read_frame};
+    use crate::rpc::conn::Client;
+    use std::net::TcpStream;
     use surfos_channel::ChannelSim;
     use surfos_em::band::NamedBand;
     use surfos_geometry::scenario::two_room_apartment;
@@ -963,8 +791,8 @@ mod tests {
         });
         assert!(poisoner.is_err() && state.is_poisoned());
 
-        let (ours, _peer) = UnixStream::pair().expect("socket pair");
-        let mut session = Session::new(Conn::Unix(ours), 1);
+        let (ours, peer) = UnixStream::pair().expect("socket pair");
+        let mut session = Session::new(FramedConn::new(Conn::Unix(ours)).unwrap(), 1);
         for (id, request) in [
             (1, Request::Ping),
             (
@@ -981,33 +809,28 @@ mod tests {
                 &RequestEnvelope::new(id, request).encode(),
             );
         }
-        let mut frames = FrameBuf::new();
-        frames.extend(&session.outbuf);
-        let mut answer = || {
-            let body = frames.next_frame().expect("framing").expect("a frame");
-            Response::decode(&body).expect("response decodes")
-        };
+        session.conn.flush().expect("flush");
+        let mut client = Client::new(Conn::Unix(peer)).expect("client");
+        let mut answer = || client.recv().expect("an answer").expect("a frame");
         assert!(matches!(answer(), (1, Response::Pong { .. })));
         assert!(matches!(answer(), (2, Response::Channel { .. })));
     }
 
-    /// A loopback TCP pair: the client end, and the daemon end as the
-    /// accept path leaves it.
-    fn accepted_pair() -> (TcpStream, Conn) {
+    /// A loopback TCP pair: a client, the daemon end as the accept path
+    /// leaves it, and a second handle on the daemon end's socket.
+    fn accepted_pair() -> (Client, FramedConn, TcpStream) {
         let listener = TcpListener::bind("127.0.0.1:0").expect("bind loopback");
-        let client = TcpStream::connect(listener.local_addr().unwrap()).expect("connect");
-        let conn = Conn::Tcp(listener.accept().expect("accept").0);
-        conn.prepare().expect("prepare");
-        (client, conn)
+        let client = Client::tcp(listener.local_addr().unwrap()).expect("connect");
+        let daemon_end = listener.accept().expect("accept").0;
+        let handle = daemon_end.try_clone().expect("clone");
+        let conn = FramedConn::new(Conn::Tcp(daemon_end)).expect("prepare");
+        (client, conn, handle)
     }
 
     #[test]
     fn accept_path_turns_nagle_off() {
-        let (_client, conn) = accepted_pair();
-        let Conn::Tcp(stream) = &conn else {
-            unreachable!()
-        };
-        assert!(stream.nodelay().unwrap());
+        let (_client, _conn, daemon_end) = accepted_pair();
+        assert!(daemon_end.nodelay().unwrap());
     }
 
     #[test]
@@ -1034,15 +857,7 @@ mod tests {
     /// and the second arrives before the first answer leaves.
     #[test]
     fn second_pipelined_answer_is_not_held_for_a_delayed_ack() {
-        let (mut client, conn) = accepted_pair();
-        client.set_nodelay(true).unwrap();
-        client
-            .set_read_timeout(Some(Duration::from_secs(10)))
-            .unwrap();
-        let Conn::Tcp(daemon_end) = &conn else {
-            unreachable!()
-        };
-        let daemon_end = daemon_end.try_clone().unwrap();
+        let (mut client, conn, daemon_end) = accepted_pair();
         // Spins until the daemon end has (or no longer has) unread bytes.
         let await_pending = |want: bool| {
             let deadline = Instant::now() + Duration::from_secs(10);
@@ -1066,15 +881,15 @@ mod tests {
         };
 
         let mut id = 0;
-        let mut call = |client: &mut TcpStream| {
+        let mut call = |client: &mut Client| {
             id += 1;
-            let frame = encode_frame(&RequestEnvelope::new(id, Request::Ping).encode());
-            client.write_all(&frame).unwrap();
+            client
+                .send(&RequestEnvelope::new(id, Request::Ping).encode())
+                .unwrap();
             id
         };
-        let answer = |client: &mut TcpStream, want: u64| {
-            let body = read_frame(client).unwrap().expect("an answer");
-            assert_eq!(Response::decode(&body).unwrap().0, want);
+        let answer = |client: &mut Client, want: u64| {
+            assert_eq!(client.recv().unwrap().expect("an answer").0, want);
         };
         // Plain round trips first: they put the client's TCP into its
         // interactive mode, where it delays lone ACKs.

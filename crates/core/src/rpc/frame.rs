@@ -52,7 +52,7 @@
 //! assert_eq!(buf.next_frame().unwrap().as_deref(), Some("hello"));
 //! ```
 
-use std::io::{Read, Write};
+use std::io::Write;
 
 /// Hard upper bound on a frame body, in bytes (1 MiB). Large enough for a
 /// full metrics snapshot, small enough that a corrupt length prefix cannot
@@ -62,24 +62,14 @@ pub const MAX_FRAME_LEN: usize = 1 << 20;
 /// Size of the length prefix, in bytes.
 pub const HEADER_LEN: usize = 4;
 
-/// Why a frame could not be read or decoded.
+/// Why the bytes received cannot be split into frames.
 #[derive(Debug)]
 pub enum FrameError {
     /// The length prefix names a body larger than [`MAX_FRAME_LEN`].
     /// Raised before any allocation is sized from the prefix.
     Oversized(usize),
-    /// The stream ended inside a frame: `got` of `want` body bytes arrived
-    /// before EOF.
-    Truncated {
-        /// Body bytes received before the stream ended.
-        got: usize,
-        /// Body bytes the header promised.
-        want: usize,
-    },
     /// The body is not valid UTF-8.
     NotUtf8,
-    /// An I/O error from the underlying stream.
-    Io(std::io::Error),
 }
 
 impl std::fmt::Display for FrameError {
@@ -88,22 +78,12 @@ impl std::fmt::Display for FrameError {
             FrameError::Oversized(len) => {
                 write!(f, "frame length {len} exceeds maximum {MAX_FRAME_LEN}")
             }
-            FrameError::Truncated { got, want } => {
-                write!(f, "stream ended mid-frame ({got} of {want} body bytes)")
-            }
             FrameError::NotUtf8 => write!(f, "frame body is not valid UTF-8"),
-            FrameError::Io(e) => write!(f, "i/o error: {e}"),
         }
     }
 }
 
 impl std::error::Error for FrameError {}
-
-impl From<std::io::Error> for FrameError {
-    fn from(e: std::io::Error) -> Self {
-        FrameError::Io(e)
-    }
-}
 
 /// Encodes `body` as one frame: 4-byte little-endian length + the bytes.
 ///
@@ -126,44 +106,6 @@ pub fn encode_frame(body: &str) -> Vec<u8> {
 pub fn write_frame(w: &mut impl Write, body: &str) -> std::io::Result<()> {
     w.write_all(&encode_frame(body))?;
     w.flush()
-}
-
-/// Reads exactly one frame from a *blocking* stream.
-///
-/// Returns `Ok(None)` on a clean EOF at a frame boundary (the peer closed
-/// between frames); [`FrameError::Truncated`] when the stream ends inside
-/// a header or body; [`FrameError::Oversized`] before allocating anything
-/// for a hostile length prefix.
-pub fn read_frame(r: &mut impl Read) -> Result<Option<String>, FrameError> {
-    let mut header = [0u8; HEADER_LEN];
-    let mut filled = 0;
-    while filled < HEADER_LEN {
-        match r.read(&mut header[filled..])? {
-            0 if filled == 0 => return Ok(None),
-            0 => {
-                return Err(FrameError::Truncated {
-                    got: 0,
-                    want: filled, // stream died inside the header itself
-                });
-            }
-            n => filled += n,
-        }
-    }
-    let len = u32::from_le_bytes(header) as usize;
-    if len > MAX_FRAME_LEN {
-        return Err(FrameError::Oversized(len));
-    }
-    let mut body = vec![0u8; len];
-    let mut got = 0;
-    while got < len {
-        match r.read(&mut body[got..])? {
-            0 => return Err(FrameError::Truncated { got, want: len }),
-            n => got += n,
-        }
-    }
-    String::from_utf8(body)
-        .map(Some)
-        .map_err(|_| FrameError::NotUtf8)
 }
 
 /// An incremental frame decoder for non-blocking streams.
@@ -286,40 +228,12 @@ mod tests {
     }
 
     #[test]
-    fn blocking_reader_handles_eof_positions() {
-        // Clean EOF at a boundary.
-        let mut empty: &[u8] = &[];
-        assert!(read_frame(&mut empty).unwrap().is_none());
-        // EOF inside the header.
-        let mut partial_header: &[u8] = &[3, 0];
-        assert!(matches!(
-            read_frame(&mut partial_header),
-            Err(FrameError::Truncated { .. })
-        ));
-        // EOF inside the body.
-        let full = encode_frame("abcdef");
-        let mut cut = &full[..full.len() - 2];
-        assert!(matches!(
-            read_frame(&mut cut),
-            Err(FrameError::Truncated { got: 4, want: 6 })
-        ));
-        // Oversized before allocation.
-        let mut huge: &[u8] = &[0xff, 0xff, 0xff, 0x7f, 1, 2, 3];
-        assert!(matches!(
-            read_frame(&mut huge),
-            Err(FrameError::Oversized(_))
-        ));
-    }
-
-    #[test]
     fn non_utf8_body_rejected() {
         let mut raw = 2u32.to_le_bytes().to_vec();
         raw.extend_from_slice(&[0xff, 0xfe]);
         let mut buf = FrameBuf::new();
         buf.extend(&raw);
         assert!(matches!(buf.next_frame(), Err(FrameError::NotUtf8)));
-        let mut r: &[u8] = &raw;
-        assert!(matches!(read_frame(&mut r), Err(FrameError::NotUtf8)));
     }
 
     #[test]

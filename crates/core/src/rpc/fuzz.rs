@@ -14,11 +14,22 @@
 //!   header bytes are pending, and a frame is never awaited past its
 //!   declared end;
 //! * every envelope or response that decodes survives an encode/decode
-//!   round trip unchanged.
+//!   round trip unchanged, and every id and task id it carries is at most
+//!   [`MAX_EXACT_INT`].
+//!
+//! The daemon half writes [`DAEMON_STREAMS`] mutated streams from one
+//! fixed seed into a live [`Server`]: it must answer every frame a
+//! [`FrameBuf`] yields before the first framing error exactly once, in
+//! order and echoing the id, then answer that error once and hang up; and
+//! a fresh connection still gets `pong` afterwards.
 
+use super::conn::{Client, Conn};
 use super::frame::{encode_frame, FrameBuf, FrameError, MAX_FRAME_LEN};
-use super::proto::{RequestEnvelope, Response};
+use super::proto::{Request, RequestEnvelope, Response, MAX_EXACT_INT};
+use crate::daemon::{demo_kernel, ServeOptions, Server};
 use proptest::prelude::*;
+use std::io::{ErrorKind, Write};
+use std::net::{Shutdown, TcpStream};
 use surfos_obs::JsonValue;
 
 /// The frame bodies of the `frame` and `proto` module docs.
@@ -62,6 +73,7 @@ const TOKENS: &[&str] = &[
     "1e-400",
     "18446744073709551616",
     "9007199254740993",
+    "9007199254740991",
     "0.5",
     "\u{ff}\u{fe}",
 ];
@@ -133,7 +145,9 @@ fn mutate(bytes: &mut Vec<u8>, kind: u8, at: u32, val: u32) {
 fn check_body(bytes: &[u8]) {
     let body = String::from_utf8_lossy(bytes);
     let _ = JsonValue::parse(&body);
+    let exact = |n: u64| assert!(n <= MAX_EXACT_INT, "{body:?} decoded to {n}");
     if let Ok(env) = RequestEnvelope::decode(&body) {
+        exact(env.id);
         let json = env.encode();
         assert_eq!(
             RequestEnvelope::decode(&json).as_ref(),
@@ -142,6 +156,12 @@ fn check_body(bytes: &[u8]) {
         );
     }
     if let Ok((id, resp)) = Response::decode(&body) {
+        exact(id);
+        match &resp {
+            Response::IntentTasks { tasks } => tasks.iter().copied().for_each(exact),
+            Response::Registered { task, .. } => exact(*task),
+            _ => {}
+        }
         let json = resp.encode(id);
         assert_eq!(
             Response::decode(&json),
@@ -198,7 +218,6 @@ fn check_stream(stream: &[u8], chunks: &[usize]) {
                     assert!(std::str::from_utf8(&stream[off + 4..off + 4 + len]).is_err());
                     return;
                 }
-                Err(e) => panic!("FrameBuf raised a stream-only error: {e:?}"),
             }
         }
     }
@@ -227,6 +246,19 @@ fn mutate_n(bytes: &mut Vec<u8>, state: &mut u64, max: u64, mut each: impl FnMut
     }
 }
 
+/// Frames every seed twice, first mutated (`each` sees each intermediate
+/// body), then as it is.
+fn seed_stream(state: &mut u64, mut each: impl FnMut(&[u8])) -> Vec<u8> {
+    let mut stream = Vec::new();
+    for frame in SEEDS {
+        let mut body = frame.as_bytes().to_vec();
+        mutate_n(&mut body, state, 4, &mut each);
+        stream.extend(encode_frame(&String::from_utf8_lossy(&body)));
+        stream.extend(encode_frame(frame));
+    }
+    stream
+}
+
 proptest! {
     #[test]
     fn mutated_doc_frames_never_panic_and_round_trip(
@@ -235,16 +267,77 @@ proptest! {
     ) {
         let mut state = seed;
         for _ in 0..ROUNDS {
-            let mut stream = Vec::new();
-            for frame in SEEDS {
-                let mut body = frame.as_bytes().to_vec();
-                mutate_n(&mut body, &mut state, 4, check_body);
-                stream.extend(encode_frame(&String::from_utf8_lossy(&body)));
-                stream.extend(encode_frame(frame));
-            }
+            let mut stream = seed_stream(&mut state, check_body);
             check_stream(&stream, &chunks);
             mutate_n(&mut stream, &mut state, 3, |_| {});
             check_stream(&stream, &chunks);
         }
     }
+}
+
+/// Streams the daemon half writes, one connection each.
+const DAEMON_STREAMS: usize = 32;
+
+#[test]
+fn mutated_streams_get_one_answer_per_frame_from_a_live_daemon() {
+    // The heartbeat runs too, so requests also meet it on the kernel lock.
+    let opts = ServeOptions {
+        tick_ms: 5,
+        ..ServeOptions::default()
+    };
+    let server = Server::start(demo_kernel(), opts).expect("bind loopback");
+    let addr = server.tcp_addr().expect("tcp listener");
+    let mut state = 0x5eed;
+    for case in 0..DAEMON_STREAMS {
+        let mut stream = seed_stream(&mut state, |_| {});
+        mutate_n(&mut stream, &mut state, 3, |_| {});
+
+        // The answers owed: each frame's id (0 for a body that does not
+        // decode), then id 0 for the framing error, if there is one.
+        let mut frames = FrameBuf::new();
+        frames.extend(&stream);
+        let mut want = Vec::new();
+        let framing_error = loop {
+            match frames.next_frame() {
+                Ok(Some(body)) => want.push(RequestEnvelope::decode(&body).map_or(0, |e| e.id)),
+                Ok(None) => break false,
+                Err(_) => break true,
+            }
+        };
+        if framing_error {
+            want.push(0);
+        }
+
+        let mut tcp = TcpStream::connect(addr).expect("connect");
+        // After a framing error the daemon may hang up mid-write.
+        let _ = tcp.write_all(&stream);
+        let _ = tcp.shutdown(Shutdown::Write);
+        let mut client = Client::new(Conn::Tcp(tcp)).expect("client");
+        let mut got = Vec::new();
+        let last = loop {
+            match client.recv() {
+                Ok(Some(answer)) => got.push(answer),
+                Ok(None) => break None,
+                // Hanging up with our bytes unread resets the connection.
+                Err(e) if framing_error && e.kind() == ErrorKind::ConnectionReset => break None,
+                Err(e) => break Some(e),
+            }
+        };
+        let ids: Vec<u64> = got.iter().map(|(id, _)| *id).collect();
+        assert!(last.is_none(), "case {case}: {last:?} after {ids:?}");
+        assert_eq!(ids, want, "case {case}: {stream:?}");
+        if framing_error {
+            let Some((_, Response::Error { message })) = got.last() else {
+                panic!("case {case}: no framing error answer: {got:?}");
+            };
+            assert!(
+                message.starts_with("framing error"),
+                "case {case}: {message}"
+            );
+        }
+    }
+    let mut fresh = Client::tcp(addr).expect("connect");
+    let answer = fresh.call(&RequestEnvelope::new(1, Request::Ping));
+    assert!(matches!(answer, Ok(Response::Pong { .. })), "{answer:?}");
+    server.stop();
 }

@@ -53,6 +53,12 @@ use surfos_obs::{to_json, JsonValue};
 /// The protocol version this build speaks.
 pub const PROTOCOL_VERSION: u64 = 1;
 
+/// The largest integer the wire carries (ids, versions, lease and task
+/// ids): 2^53 − 1. JSON numbers decode to `f64`, which holds every integer
+/// up to here exactly; a larger literal may already be rounded, so it is
+/// refused rather than echoed back changed.
+pub const MAX_EXACT_INT: u64 = (1 << 53) - 1;
+
 /// A decoding failure: what was wrong with the frame body.
 #[derive(Debug, Clone, PartialEq)]
 pub struct ProtoError(pub String);
@@ -356,13 +362,9 @@ impl Response {
                 Response::IntentTasks {
                     tasks: tasks
                         .iter()
-                        .map(|t| {
-                            t.as_f64()
-                                .filter(|f| *f >= 0.0 && f.fract() == 0.0)
-                                .map(|f| f as u64)
-                                .ok_or_else(|| ProtoError("non-integer task id".into()))
-                        })
-                        .collect::<Result<_, _>>()?,
+                        .map(exact_int)
+                        .collect::<Option<_>>()
+                        .ok_or_else(|| ProtoError("task id not an integer in 0..=2^53-1".into()))?,
                 }
             }
             "channel" => Response::Channel {
@@ -425,12 +427,19 @@ impl Serialize for ResponseFrame<'_> {
     }
 }
 
-fn get_u64(v: &JsonValue, field: &str) -> Result<u64, ProtoError> {
-    v.get(field)
-        .and_then(JsonValue::as_f64)
-        .filter(|f| *f >= 0.0 && f.fract() == 0.0 && *f <= u64::MAX as f64)
+/// An integer in `0..=MAX_EXACT_INT`, the only numbers read as ids.
+fn exact_int(v: &JsonValue) -> Option<u64> {
+    v.as_f64()
+        .filter(|f| *f >= 0.0 && f.fract() == 0.0 && *f <= MAX_EXACT_INT as f64)
         .map(|f| f as u64)
-        .ok_or_else(|| ProtoError(format!("missing or non-integer field {field:?}")))
+}
+
+fn get_u64(v: &JsonValue, field: &str) -> Result<u64, ProtoError> {
+    v.get(field).and_then(exact_int).ok_or_else(|| {
+        ProtoError(format!(
+            "missing field {field:?}, or not an integer in 0..=2^53-1"
+        ))
+    })
 }
 
 /// A finite number: an overflowing literal such as `1e999` parses to an
@@ -593,6 +602,31 @@ mod tests {
         assert!(RequestEnvelope::decode("[1,2,3]").is_err());
         assert!(RequestEnvelope::decode("not json at all").is_err());
         assert!(RequestEnvelope::decode("").is_err());
+    }
+
+    #[test]
+    fn ids_are_exact_or_refused() {
+        let env = RequestEnvelope::new(MAX_EXACT_INT, Request::ReleaseService { service: 1 });
+        assert_eq!(RequestEnvelope::decode(&env.encode()).unwrap(), env);
+        let tasks = Response::IntentTasks {
+            tasks: vec![MAX_EXACT_INT],
+        };
+        let back = Response::decode(&tasks.encode(MAX_EXACT_INT)).unwrap();
+        assert_eq!(back, (MAX_EXACT_INT, tasks));
+        // 2^53 + 1 parses as 2^53, and 2^64 is past u64::MAX: neither may
+        // decode, as an id or inside `tasks`.
+        for n in [
+            "9007199254740992",
+            "9007199254740993",
+            "18446744073709551616",
+        ] {
+            let body = format!(r#"{{"v":1,"id":{n},"op":"ping"}}"#);
+            assert!(RequestEnvelope::decode(&body).is_err(), "{body}");
+            let body = format!(r#"{{"v":1,"id":{n},"kind":"released","service":1}}"#);
+            assert!(Response::decode(&body).is_err(), "{body}");
+            let body = format!(r#"{{"v":1,"id":1,"kind":"intent","tasks":[1,{n}]}}"#);
+            assert!(Response::decode(&body).is_err(), "{body}");
+        }
     }
 
     #[test]

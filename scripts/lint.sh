@@ -103,18 +103,20 @@ SURFOS_TRACE_CHECK="$trace_tmp" \
   cargo test -q --release -p surfos-bench --test trace_valid trace_file_from_env
 
 # Service-plane gate: boot a real `surfosd serve` on an ephemeral loopback
-# port, drive it with a surfos-loadgen burst, then ask it to quit over
-# stdin and require a clean shutdown plus a metrics snapshot carrying the
-# rpc.* series (validated by crates/bench/tests/metrics_valid.rs, which
-# reads the file via env var).
+# port and a unix socket, drive it with a surfos-loadgen burst whose
+# connections alternate between the two (so both arms of the shared framed
+# connection run under load), then ask it to quit over stdin and require a
+# clean shutdown plus a metrics snapshot carrying the rpc.* series
+# (validated by crates/bench/tests/metrics_valid.rs, which reads the file
+# via env var).
 metrics_tmp="$(mktemp)"
 serve_log="$(mktemp)"
 serve_ctl="$(mktemp -d)"
 trap 'rm -f "$trace_tmp" "$metrics_tmp" "$serve_log"; rm -rf "$serve_ctl"' EXIT
 mkfifo "$serve_ctl/ctl"
 cargo build -q --release -p surfos -p surfos-bench --bin surfosd --bin surfos-loadgen
-target/release/surfosd serve --listen 127.0.0.1:0 --metrics-json "$metrics_tmp" \
-  < "$serve_ctl/ctl" > "$serve_log" &
+target/release/surfosd serve --listen 127.0.0.1:0 --unix "$serve_ctl/surfosd.sock" \
+  --metrics-json "$metrics_tmp" < "$serve_ctl/ctl" > "$serve_log" &
 serve_pid=$!
 exec 9> "$serve_ctl/ctl" # hold the control pipe open until we say quit
 port=""
@@ -124,7 +126,8 @@ for _ in $(seq 100); do
   sleep 0.1
 done
 [[ -n "$port" ]] || { echo "surfosd serve never reported its port" >&2; kill "$serve_pid"; exit 1; }
-target/release/surfos-loadgen --connect "127.0.0.1:$port" --conns 8 --requests 400 > /dev/null
+target/release/surfos-loadgen --connect "127.0.0.1:$port" --unix "$serve_ctl/surfosd.sock" \
+  --conns 8 --requests 400 > /dev/null
 echo quit >&9
 exec 9>&-
 wait "$serve_pid"
@@ -136,4 +139,4 @@ SURFOS_METRICS_CHECK="$metrics_tmp" \
 # via #![warn(missing_docs)]) fail the build, not just warn.
 RUSTDOCFLAGS="-D warnings" cargo doc -q --no-deps --workspace
 
-echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), fused step (3 threads), daemon wake (1 and 3 workers), heartbeat memo (1 and 3 threads), shard equivalence (serial), e2ebench build + tests, trace export, daemon smoke (serve + loadgen + metrics) and rustdoc clean"
+echo "lint: formatting, clippy (both simd configs), scalar-fallback tests, backend equivalence (${simd_arms[*]}), metrics determinism (alone), fan-out pool (3 threads), objectives (serial), fused step (3 threads), daemon wake (1 and 3 workers), heartbeat memo (1 and 3 threads), shard equivalence (serial), e2ebench build + tests, trace export, daemon smoke (serve on tcp + unix, loadgen on both, metrics) and rustdoc clean"

@@ -3,11 +3,9 @@
 //! sibling test spends CPU in the same process while it measures.
 #![cfg(target_os = "linux")]
 
-use std::net::TcpStream;
 use std::time::Duration;
 use surfos::daemon::{demo_kernel, ServeOptions, Server};
-use surfos::rpc::frame::{read_frame, write_frame};
-use surfos::rpc::proto::{Request, RequestEnvelope, Response};
+use surfos::rpc::{Client, Request, RequestEnvelope, Response};
 
 /// This process's user + system CPU time, in clock ticks
 /// (`/proc/self/stat` fields 14 and 15).
@@ -31,13 +29,10 @@ fn idle_daemon_uses_no_cpu() {
         },
     )
     .expect("bind loopback");
-    let mut c = TcpStream::connect(server.tcp_addr().unwrap()).expect("connect");
-    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    let mut c = Client::tcp(server.tcp_addr().unwrap()).expect("connect");
     // One answered ping: the session is adopted and its worker parked.
-    write_frame(&mut c, &RequestEnvelope::new(1, Request::Ping).encode()).unwrap();
-    let body = read_frame(&mut c).unwrap().expect("answer");
     assert!(matches!(
-        Response::decode(&body).unwrap().1,
+        c.call(&RequestEnvelope::new(1, Request::Ping)).unwrap(),
         Response::Pong { .. }
     ));
 

@@ -210,10 +210,8 @@ fn heartbeat_memo_hits_are_counted() {
 
 #[test]
 fn rejections_are_counted_by_reason() {
-    use std::net::TcpStream;
     use surfos::daemon::{demo_kernel, ServeOptions, Server};
-    use surfos::rpc::frame::{read_frame, write_frame};
-    use surfos::rpc::proto::{Request, RequestEnvelope, Response};
+    use surfos::rpc::{Client, Request, RequestEnvelope, Response};
 
     let _guard = exclusive();
     obs::reset();
@@ -226,22 +224,16 @@ fn rejections_are_counted_by_reason() {
         per_tenant: 1,
         ..ServeOptions::default()
     };
-    let connect = |server: &Server| {
-        let s = TcpStream::connect(server.tcp_addr().unwrap()).unwrap();
-        s.set_read_timeout(Some(std::time::Duration::from_secs(10)))
-            .unwrap();
-        s
-    };
-    let register = |stream: &mut TcpStream, tenant: &str| {
+    let connect = |server: &Server| Client::tcp(server.tcp_addr().unwrap()).unwrap();
+    let register = |client: &mut Client, tenant: &str| {
         let request = Request::RegisterService {
             kind: "powering".into(),
             subject: "laptop".into(),
             value: 60.0,
         };
-        let env = RequestEnvelope::with_tenant(1, tenant, request);
-        write_frame(stream, &env.encode()).unwrap();
-        let body = read_frame(stream).unwrap().expect("an answer");
-        Response::decode(&body).unwrap().1
+        client
+            .call(&RequestEnvelope::with_tenant(1, tenant, request))
+            .expect("an answer")
     };
     let rejected = |r: Response| matches!(r, Response::Rejected { .. });
 
@@ -263,8 +255,8 @@ fn rejections_are_counted_by_reason() {
     let mut c = connect(&server);
     assert!(rejected(register(&mut c, "c")), "registry capacity");
     let mut over = connect(&server); // a fourth connection, cap 3
-    let body = read_frame(&mut over).unwrap().expect("over-cap answer");
-    assert!(rejected(Response::decode(&body).unwrap().1));
+    let (_, answer) = over.recv().unwrap().expect("over-cap answer");
+    assert!(rejected(answer));
     server.stop();
     obs::set_enabled(false);
 

@@ -12,8 +12,9 @@ use std::io::Write;
 use std::net::TcpStream;
 use std::time::{Duration, Instant};
 use surfos::daemon::{demo_kernel, ServeOptions, Server};
-use surfos::rpc::frame::{read_frame, write_frame, MAX_FRAME_LEN};
+use surfos::rpc::frame::MAX_FRAME_LEN;
 use surfos::rpc::proto::{Request, RequestEnvelope, Response, PROTOCOL_VERSION};
+use surfos::rpc::{Client, Conn};
 
 /// Boots a daemon on an ephemeral TCP port (no unix socket, no ticker).
 fn serve(opts: ServeOptions) -> Server {
@@ -27,22 +28,21 @@ fn tcp_opts() -> ServeOptions {
     }
 }
 
-/// One blocking request/response round-trip on an established stream.
-fn call(stream: &mut TcpStream, env: &RequestEnvelope) -> Response {
-    write_frame(stream, &env.encode()).expect("write frame");
-    let body = read_frame(stream)
-        .expect("read frame")
-        .expect("server must answer, not close");
-    let (id, response) = Response::decode(&body).expect("valid response");
-    assert_eq!(id, env.id, "correlation id must echo");
-    response
+/// One blocking request/response round trip; the answer must echo the
+/// correlation id.
+fn call(client: &mut Client, env: &RequestEnvelope) -> Response {
+    client
+        .call(env)
+        .expect("server must answer, echoing the id")
 }
 
-fn connect(server: &Server) -> TcpStream {
-    let addr = server.tcp_addr().expect("tcp listener");
-    let s = TcpStream::connect(addr).expect("connect");
-    s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    s
+fn connect(server: &Server) -> Client {
+    Client::tcp(server.tcp_addr().expect("tcp listener")).expect("connect")
+}
+
+/// A plain stream, for writing bytes that are not frames.
+fn connect_raw(server: &Server) -> TcpStream {
+    TcpStream::connect(server.tcp_addr().expect("tcp listener")).expect("connect")
 }
 
 #[test]
@@ -115,13 +115,8 @@ fn unix_socket_speaks_the_same_protocol() {
         unix: Some(path.clone()),
         ..ServeOptions::default()
     });
-    let mut c = std::os::unix::net::UnixStream::connect(&path).expect("connect unix");
-    c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
-    let env = RequestEnvelope::new(7, Request::Ping);
-    write_frame(&mut c, &env.encode()).unwrap();
-    let body = read_frame(&mut c).unwrap().expect("answer");
-    let (id, resp) = Response::decode(&body).unwrap();
-    assert_eq!(id, 7);
+    let mut c = Client::unix(&path).expect("connect unix");
+    let resp = call(&mut c, &RequestEnvelope::new(7, Request::Ping));
     assert!(matches!(resp, Response::Pong { .. }));
     server.stop();
     assert!(!path.exists(), "socket file must be removed on stop");
@@ -226,8 +221,7 @@ fn wrong_version_is_refused_but_ping_still_answers() {
     // A v99 ping answers (version discovery)…
     let mut ping = RequestEnvelope::new(1, Request::Ping);
     ping.v = 99;
-    write_frame(&mut c, &ping.encode()).unwrap();
-    let (_, resp) = Response::decode(&read_frame(&mut c).unwrap().unwrap()).unwrap();
+    let resp = call(&mut c, &ping);
     assert!(matches!(resp, Response::Pong { version, .. } if version == PROTOCOL_VERSION));
     // …a v99 query is an error naming the server's version.
     let mut query = RequestEnvelope::new(
@@ -238,8 +232,9 @@ fn wrong_version_is_refused_but_ping_still_answers() {
         },
     );
     query.v = 99;
-    write_frame(&mut c, &query.encode()).unwrap();
-    let (_, resp) = Response::decode(&read_frame(&mut c).unwrap().unwrap()).unwrap();
+    // It does not decode, so the answer cannot echo its id.
+    c.send(&query.encode()).unwrap();
+    let (_, resp) = c.recv().unwrap().expect("an answer");
     let Response::Error { message } = resp else {
         panic!("wrong version must error, got {resp:?}");
     };
@@ -251,8 +246,8 @@ fn wrong_version_is_refused_but_ping_still_answers() {
 fn unknown_op_answers_an_error_and_keeps_the_session() {
     let server = serve(tcp_opts());
     let mut c = connect(&server);
-    write_frame(&mut c, r#"{"v":1,"id":9,"op":"frobnicate"}"#).unwrap();
-    let (_, resp) = Response::decode(&read_frame(&mut c).unwrap().unwrap()).unwrap();
+    c.send(r#"{"v":1,"id":9,"op":"frobnicate"}"#).unwrap();
+    let (_, resp) = c.recv().unwrap().expect("an answer");
     assert!(matches!(resp, Response::Error { .. }), "{resp:?}");
     // The connection survives a body-level error.
     assert!(matches!(
@@ -265,21 +260,22 @@ fn unknown_op_answers_an_error_and_keeps_the_session() {
 #[test]
 fn oversized_length_prefix_is_rejected_without_allocation() {
     let server = serve(tcp_opts());
-    let mut c = connect(&server);
+    let mut raw = connect_raw(&server);
     // A hostile header claiming u32::MAX bytes. If the daemon tried to
     // allocate it, a 4 GiB buffer would blow the test runner; instead it
     // must answer one framing error and close.
-    c.write_all(&u32::MAX.to_le_bytes()).unwrap();
-    c.write_all(b"junk that never amounts to a frame").unwrap();
-    let body = read_frame(&mut c).unwrap().expect("framing error answer");
-    let (_, resp) = Response::decode(&body).unwrap();
+    raw.write_all(&u32::MAX.to_le_bytes()).unwrap();
+    raw.write_all(b"junk that never amounts to a frame")
+        .unwrap();
+    let mut c = Client::new(Conn::Tcp(raw)).unwrap();
+    let (_, resp) = c.recv().unwrap().expect("framing error answer");
     let Response::Error { message } = resp else {
         panic!("expected framing error, got {resp:?}");
     };
     assert!(message.contains("exceeds"), "{message}");
     assert!(message.contains(&MAX_FRAME_LEN.to_string()), "{message}");
     // The daemon hangs up after an unrecoverable framing error.
-    assert_eq!(read_frame(&mut c).unwrap(), None, "connection must close");
+    assert!(c.recv().unwrap().is_none(), "connection must close");
     // And it still serves new clients.
     let mut c2 = connect(&server);
     assert!(matches!(
@@ -293,7 +289,7 @@ fn oversized_length_prefix_is_rejected_without_allocation() {
 fn mid_frame_disconnect_does_not_wedge_the_daemon() {
     let server = serve(tcp_opts());
     for _ in 0..4 {
-        let mut c = connect(&server);
+        let mut c = connect_raw(&server);
         // Send a valid header and half the promised body, then vanish.
         let body = RequestEnvelope::new(1, Request::Ping).encode();
         c.write_all(&(body.len() as u32).to_le_bytes()).unwrap();
@@ -301,7 +297,7 @@ fn mid_frame_disconnect_does_not_wedge_the_daemon() {
         drop(c);
     }
     // Truncated garbage, not even a full header.
-    let mut c = connect(&server);
+    let mut c = connect_raw(&server);
     c.write_all(&[0x03, 0x00]).unwrap();
     drop(c);
 
@@ -326,7 +322,7 @@ fn connection_cap_answers_a_rejection_not_a_hang() {
         max_conns: 2,
         ..tcp_opts()
     });
-    let mut keep: Vec<TcpStream> = (0..2).map(|_| connect(&server)).collect();
+    let mut keep: Vec<Client> = (0..2).map(|_| connect(&server)).collect();
     // Make sure both are adopted before the third arrives.
     for (i, c) in keep.iter_mut().enumerate() {
         assert!(matches!(
@@ -335,13 +331,12 @@ fn connection_cap_answers_a_rejection_not_a_hang() {
         ));
     }
     let mut over = connect(&server);
-    let body = read_frame(&mut over).unwrap().expect("over-cap answer");
-    let (_, resp) = Response::decode(&body).unwrap();
+    let (_, resp) = over.recv().unwrap().expect("over-cap answer");
     let Response::Rejected { reason } = resp else {
         panic!("expected Rejected, got {resp:?}");
     };
     assert!(reason.contains("connection limit"), "{reason}");
-    assert_eq!(read_frame(&mut over).unwrap(), None, "then it closes");
+    assert!(over.recv().unwrap().is_none(), "then it closes");
     server.stop();
 }
 
@@ -351,10 +346,11 @@ fn pipelined_requests_answer_in_order() {
     let mut c = connect(&server);
     // Write a burst of frames before reading anything.
     for id in 1..=20u64 {
-        write_frame(&mut c, &RequestEnvelope::new(id, Request::Ping).encode()).unwrap();
+        c.send(&RequestEnvelope::new(id, Request::Ping).encode())
+            .unwrap();
     }
     for id in 1..=20u64 {
-        let (got, resp) = Response::decode(&read_frame(&mut c).unwrap().unwrap()).unwrap();
+        let (got, resp) = c.recv().unwrap().expect("an answer");
         assert_eq!(got, id);
         assert!(matches!(resp, Response::Pong { .. }));
     }
@@ -368,15 +364,9 @@ fn concurrent_clients_all_get_served() {
     let handles: Vec<_> = (0..16)
         .map(|t| {
             std::thread::spawn(move || {
-                let mut c = TcpStream::connect(addr).expect("connect");
-                c.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+                let mut c = Client::tcp(addr).expect("connect");
                 for id in 1..=25u64 {
-                    let resp = {
-                        let env = RequestEnvelope::new(id, Request::Ping);
-                        write_frame(&mut c, &env.encode()).unwrap();
-                        let body = read_frame(&mut c).unwrap().expect("answer");
-                        Response::decode(&body).unwrap().1
-                    };
+                    let resp = call(&mut c, &RequestEnvelope::new(id, Request::Ping));
                     assert!(matches!(resp, Response::Pong { .. }), "thread {t} id {id}");
                 }
             })
@@ -425,8 +415,8 @@ fn deeply_nested_frame_costs_one_error_not_the_daemon() {
     let mut c = connect(&server);
     // Half a megabyte of `[`: a parser without a depth cap recurses once
     // per byte and overflows the worker's stack, aborting the process.
-    write_frame(&mut c, &"[".repeat(500 * 1024)).unwrap();
-    let (_, resp) = Response::decode(&read_frame(&mut c).unwrap().unwrap()).unwrap();
+    c.send(&"[".repeat(500 * 1024)).unwrap();
+    let (_, resp) = c.recv().unwrap().expect("an answer");
     let Response::Error { message } = resp else {
         panic!("expected one error answer, got {resp:?}");
     };
@@ -496,15 +486,15 @@ fn pipelined_pair_is_not_held_back_by_nagle() {
     // daemon's unit tests force the separate writes.
     let server = serve(tcp_opts());
     let mut c = connect(&server);
-    c.set_nodelay(true).unwrap();
     let mut waits: Vec<Duration> = (0..20u64)
         .map(|round| {
             let t0 = Instant::now();
             for id in [2 * round + 1, 2 * round + 2] {
-                write_frame(&mut c, &RequestEnvelope::new(id, Request::Ping).encode()).unwrap();
+                c.send(&RequestEnvelope::new(id, Request::Ping).encode())
+                    .unwrap();
             }
             for id in [2 * round + 1, 2 * round + 2] {
-                let (got, resp) = Response::decode(&read_frame(&mut c).unwrap().unwrap()).unwrap();
+                let (got, resp) = c.recv().unwrap().expect("an answer");
                 assert_eq!(got, id);
                 assert!(matches!(resp, Response::Pong { .. }), "{resp:?}");
             }
